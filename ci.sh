@@ -90,11 +90,12 @@ test "$best_us" -le "$LADDER_BUDGET_US" || {
 }
 
 # Perf gate, mega: the quick mega sweep (which includes a 10^5-rank
-# preset) must stay on the O(classes) aggregated path. ~84 ms expected
-# (BENCH_MEGASCALE.json) — nearly all of it GE's Theta(N*classes)
-# rounds, ~35 ns each over the 2.4M-round quick grids — so 100 ms
-# trips on any per-round regression or a cell sliding back to an O(P)
-# walk (the per-rank oracle needs ~4 s for the same sweep).
+# preset) must stay on the O(classes) aggregated path. ~12-25 ms
+# expected on a 2-vCPU container — nearly all of it GE's 2.4M
+# quick-grid rounds at ~6-9 ns each (one run-length deal per grid,
+# rendezvous screen) — so 100 ms trips on a cell sliding back to an
+# O(P) walk (the per-rank oracle needs ~4 s for the same sweep) or on
+# losing both the shared deal and the screen.
 MEGA_BUDGET_US=100000
 best_us=
 for _ in 1 2 3 4 5; do

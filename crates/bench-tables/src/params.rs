@@ -189,12 +189,14 @@ const MEGA_GE_GRID: [f64; 5] = [1.0, 1.25, 1.6, 2.0, 2.5];
 /// Dense problem-size grid for one GE mega rung. GE walks Θ(N)
 /// lockstep broadcast + barrier rounds, so a cell costs Θ(N·classes)
 /// even aggregated — and its target crossing sits near `N* ≈ 150·p`
-/// (the X3 surface trend), unaffordable to sample at 10⁷ ranks. The
-/// grid instead samples a dense band anchored at `2·p` — above the
-/// `n ≈ p` regime change where ranks still hold single rows — and the
-/// sweep inverts the *reciprocal* trend
+/// on the X3 surface trend (≈ 165·p by direct bisection on the HEET
+/// presets), unaffordable to sample at 10⁷ ranks. The grid instead
+/// samples a dense band anchored at `2·p` — above the `n ≈ p` regime
+/// change where ranks still hold single rows — and the sweep inverts
+/// the *reciprocal* trend
 /// ([`scalability::metric::EfficiencyCurve::required_n_extrapolated`]),
-/// which reaches crossings beyond the sampled range.
+/// which reaches crossings beyond the sampled range; the required N it
+/// prints (≈ 240·p) is that extrapolation, not a measured crossing.
 pub fn mega_ge_sizes(p: usize) -> Vec<usize> {
     let anchor = 2.0 * p as f64;
     MEGA_GE_GRID.iter().map(|m| (m * anchor).round().max(4.0) as usize).collect()

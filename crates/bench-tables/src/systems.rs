@@ -12,12 +12,13 @@ use hetsim_cluster::classed::ClassedCluster;
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::network::NetworkModel;
 use kernels::ge::ge_parallel_timed;
-use kernels::mega::{ge_mega, mm_mega, power_mega};
+use kernels::mega::{ge_mega, ge_mega_many, mm_mega, power_mega};
 use kernels::mm::mm_parallel_timed;
 use kernels::power::{power_parallel_timed, power_work};
 use kernels::stencil::{stencil_parallel_timed, stencil_work};
 use kernels::workload::{ge_work, mm_work};
 use scalability::metric::AlgorithmSystem;
+use scalability::Measurement;
 
 /// Sweep count used by the stencil scalability experiments: grows with
 /// the grid (`⌈n/8⌉`) so total work is `Θ(N³)` like the paper's kernels
@@ -240,6 +241,31 @@ impl<'a, N: NetworkModel> MegaGeSystem<'a, N> {
     pub fn new(cluster: &'a ClassedCluster, network: &'a N) -> Self {
         MegaGeSystem { cluster, network }
     }
+
+    /// Whether cells take the materialized per-rank oracle path.
+    fn per_rank_oracle(&self) -> bool {
+        !hetsim_mpi::analytic_enabled() && self.cluster.size() <= Self::ORACLE_MAX_RANKS
+    }
+
+    /// Measures a whole problem-size grid — the same measurements as
+    /// [`AlgorithmSystem::measure`] at each size in turn, but the
+    /// aggregated path prices the grid as one [`ge_mega_many`] batch
+    /// sharing a single cyclic deal.
+    pub fn measure_grid(&self, ns: &[usize]) -> Vec<Measurement> {
+        if self.per_rank_oracle() {
+            return ns.iter().map(|&n| self.measure(n)).collect();
+        }
+        ge_mega_many(self.cluster, self.network, ns)
+            .into_iter()
+            .zip(ns)
+            .map(|(outcome, &n)| Measurement {
+                n,
+                work_flops: self.work(n),
+                time_secs: outcome.expect("the mega network prices per class").makespan.as_secs(),
+                marked_speed_flops: self.marked_speed_flops(),
+            })
+            .collect()
+    }
 }
 
 impl<N: NetworkModel> AlgorithmSystem for MegaGeSystem<'_, N> {
@@ -253,7 +279,7 @@ impl<N: NetworkModel> AlgorithmSystem for MegaGeSystem<'_, N> {
         ge_work(n)
     }
     fn execute(&self, n: usize) -> f64 {
-        if !hetsim_mpi::analytic_enabled() && self.cluster.size() <= Self::ORACLE_MAX_RANKS {
+        if self.per_rank_oracle() {
             ge_parallel_timed(&self.cluster.materialize(), self.network, n).makespan.as_secs()
         } else {
             ge_mega(self.cluster, self.network, n)

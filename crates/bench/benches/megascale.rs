@@ -6,7 +6,9 @@
 //! cell is priced up to three ways:
 //!
 //! * `aggregated` — [`mm_mega`] / [`ge_mega`] / [`power_mega`] on the
-//!   compressed [`ClassedCluster`]: O(classes) state, no rank vector;
+//!   compressed [`ClassedCluster`]: O(classes) state, no rank vector.
+//!   GE also prices its whole `mega_ge_sizes` grid, once through
+//!   [`ge_mega_many`] (one shared deal) and once size by size;
 //! * `per_rank` — the per-rank closed forms on the pre-materialized
 //!   [`ClusterSpec`], the O(P) walk the aggregated path replaces.
 //!   Materialization and the O(P) distributions are built *outside*
@@ -31,7 +33,7 @@ use hetsim_cluster::sunwulf::sunwulf_network;
 use hetsim_cluster::ClassedCluster;
 use hetsim_mpi::record_spmd;
 use kernels::ge::ge_timed_body;
-use kernels::mega::{ge_mega, mm_mega, power_mega};
+use kernels::mega::{ge_mega, ge_mega_many, mm_mega, power_mega};
 use kernels::{ge_closed_form, mm_closed_form, power_closed_form};
 use std::hint::black_box;
 
@@ -76,6 +78,20 @@ fn bench_megascale(c: &mut Criterion) {
         let cyclic = CyclicDistribution::fine(ge_n, &speeds);
         group.bench_with_input(BenchmarkId::new("ge_aggregated", p), &p, |b, _| {
             b.iter(|| black_box(ge_mega(&cluster, &net, ge_n).unwrap().makespan))
+        });
+        // The X4 sweep prices GE a whole grid at a time: one shared
+        // deal through `ge_mega_many` against the same five sizes
+        // priced by separate `ge_mega` calls (each re-dealing).
+        let ge_grid = mega_ge_sizes(p);
+        group.bench_with_input(BenchmarkId::new("ge_aggregated_grid", p), &p, |b, _| {
+            b.iter(|| black_box(ge_mega_many(&cluster, &net, &ge_grid)))
+        });
+        group.bench_with_input(BenchmarkId::new("ge_aggregated_by_size", p), &p, |b, _| {
+            b.iter(|| {
+                for &n in &ge_grid {
+                    black_box(ge_mega(&cluster, &net, n).unwrap().makespan);
+                }
+            })
         });
         if p <= 10_000 {
             group.bench_with_input(BenchmarkId::new("ge_per_rank", p), &p, |b, _| {

@@ -92,6 +92,11 @@ impl CyclicDistribution {
     }
 }
 
+/// Relative margin [`ClassedCyclicDeal::deal_run`] demands of a deficit
+/// gap before it trusts the winner without a scan: seven orders of
+/// magnitude above the few-ulp rounding (`u = 2⁻⁵³`) of the deficits.
+const RUN_MARGIN: f64 = 1e-9;
+
 /// The greedy largest-deficit deal replayed over *speed classes* in
 /// O(classes) state — the ownership query behind class-aggregated GE
 /// (DESIGN.md §13).
@@ -164,9 +169,8 @@ impl ClassedCyclicDeal {
         let next_total = (self.step + 1) as f64;
         let mut best = usize::MAX;
         let mut best_deficit = f64::NEG_INFINITY;
-        // Zipped iteration keeps the O(n · classes) replay loops free
-        // of bounds checks (this is the hot path of the aggregated GE
-        // form, run once per matrix row).
+        // Zipped iteration keeps the O(classes) scan free of bounds
+        // checks (`deal_run` runs it once per run of wins).
         for (c, (&f, &front)) in self.fractions.iter().zip(self.front.iter()).enumerate() {
             if f == 0.0 {
                 continue;
@@ -186,6 +190,79 @@ impl ClassedCyclicDeal {
         }
         self.step += 1;
         best
+    }
+
+    /// Deals a *run*: the next row, plus every following row (up to
+    /// `limit` rows in all) that provably goes to the same class.
+    /// Returns `(class, rows)` with `1 ≤ rows ≤ limit`, leaving the
+    /// state exactly where `rows` calls of [`Self::deal`] would — and
+    /// those calls would all have returned `class`.
+    ///
+    /// The winner comes in long runs: a class keeps winning until its
+    /// front member's count moves (after `members` wins) or another
+    /// class's deficit line overtakes it, so a 5·10⁵-row deal over 8
+    /// HEET classes is ~50 runs. After one exact scan picks the class
+    /// `c`, the run extends while, for every other dealing class `d`,
+    /// the deficit gap `(t·f_c − front_c) − (t·f_d − front_d)` clears
+    /// [`RUN_MARGIN`] times the magnitudes involved. Both deficits are
+    /// a product and a difference, so each rounds by at most a few
+    /// ulps of those magnitudes — far inside the margin — and `c`'s
+    /// computed deficit is then strictly the largest, whatever the tie
+    /// rule. The gap and the margin are affine in `t`, so checking the
+    /// run's first and last steps covers every step between.
+    ///
+    /// # Panics
+    /// Panics when `limit` is 0.
+    pub fn deal_run(&mut self, limit: u64) -> (usize, u64) {
+        assert!(limit > 0, "a run deals at least one row");
+        let class = self.deal();
+        // Wins left before `class`'s front count moves (the deficits
+        // use it, so a run must not cross that step).
+        let mut extra = (limit - 1).min(self.members[class] - self.wrap[class]);
+        let first = (self.step + 1) as f64;
+        for d in 0..self.fractions.len() {
+            if extra == 0 {
+                break;
+            }
+            if d == class || self.fractions[d] == 0.0 {
+                continue;
+            }
+            if !self.outdeals(class, d, first) {
+                extra = 0;
+                break;
+            }
+            if !self.outdeals(class, d, first + (extra - 1) as f64) {
+                // Bisect for the last clearing step: 1 clears, `extra`
+                // does not.
+                let (mut lo, mut hi) = (1u64, extra);
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if self.outdeals(class, d, first + (mid - 1) as f64) {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                extra = lo;
+            }
+        }
+        self.dealt[class] += extra;
+        self.wrap[class] += extra;
+        if self.wrap[class] == self.members[class] {
+            self.wrap[class] = 0;
+            self.front[class] += 1;
+        }
+        self.step += extra;
+        (class, 1 + extra)
+    }
+
+    /// Whether class `c`'s deficit provably beats class `d`'s at deal
+    /// step `t` (see [`Self::deal_run`]).
+    fn outdeals(&self, c: usize, d: usize, t: f64) -> bool {
+        let (fc, fd) = (self.fractions[c], self.fractions[d]);
+        let (bc, bd) = (self.front[c] as f64, self.front[d] as f64);
+        let gap = (t * fc - bc) - (t * fd - bd);
+        gap > RUN_MARGIN * (1.0 + t * (fc + fd) + bc + bd)
     }
 
     /// Rows dealt so far, per class.
@@ -208,8 +285,8 @@ impl ClassedCyclicDeal {
     /// in O(runs) memory.
     pub fn counts(n: usize, classes: &[(f64, u64)]) -> Vec<u64> {
         let mut deal = ClassedCyclicDeal::new(classes);
-        for _ in 0..n {
-            deal.deal();
+        while deal.step < n as u64 {
+            deal.deal_run(n as u64 - deal.step);
         }
         deal.dealt
     }
@@ -418,6 +495,71 @@ mod tests {
         }
     }
 
+    /// Checks `deal_run` expands to exactly the `deal` sequence over
+    /// `n` rows, with runs capped at `limit` rows; returns the number
+    /// of runs taken.
+    fn check_runs_mirror_deals(n: u64, limit: u64, classes: &[(f64, u64)]) -> usize {
+        let mut rows = ClassedCyclicDeal::new(classes);
+        let mut runs = ClassedCyclicDeal::new(classes);
+        let mut taken = 0;
+        while runs.rows_dealt() < n {
+            let (class, len) = runs.deal_run(limit.min(n - runs.rows_dealt()));
+            assert!(len >= 1 && len <= limit, "run of {len} rows past limit {limit}");
+            for _ in 0..len {
+                assert_eq!(
+                    rows.deal(),
+                    class,
+                    "row {} ({classes:?}, limit {limit})",
+                    rows.rows_dealt()
+                );
+            }
+            assert_eq!(runs.class_counts(), rows.class_counts());
+            taken += 1;
+        }
+        for c in 0..classes.len() {
+            assert_eq!(runs.front_member(c), rows.front_member(c));
+        }
+        assert_eq!(ClassedCyclicDeal::counts(n as usize, classes), rows.class_counts());
+        taken
+    }
+
+    #[test]
+    fn runs_expand_to_the_row_deal_on_many_shapes() {
+        for classes in [
+            vec![(50.0, 3u64)],
+            vec![(50.0, 1)],
+            vec![(90.0, 2), (50.0, 1), (110.0, 3)],
+            vec![(108.0, 1), (72.0, 3), (45.0, 4)],
+            vec![(1000.0, 1), (1.0, 5)],
+            vec![(1.0, 2), (0.0, 3), (1.0, 2)],
+            vec![(64.0, 2), (64.0, 3), (32.0, 1)],
+            vec![(90.0, 1), (45.0, 1)],
+            vec![(100.0, 1), (50.0, 2), (25.0, 1), (12.5, 3)],
+            vec![(108.0, 2778), (97.7, 5556), (87.4, 8333), (45.0, 22222)],
+        ] {
+            for limit in [1u64, 2, 7, u64::MAX] {
+                check_runs_mirror_deals(2_000, limit, &classes);
+            }
+        }
+    }
+
+    #[test]
+    fn hetero_classes_deal_in_few_long_runs() {
+        // Eight tiers of 10³–10⁴ members: each class wins about a
+        // member count's worth of rows at a time, so 2·10⁵ rows take a
+        // few hundred runs, not 2·10⁵ scans.
+        let classes: Vec<(f64, u64)> =
+            (0..8u64).map(|j| (108.0 - 9.0 * j as f64, 1_000 * (j + 1))).collect();
+        let runs = check_runs_mirror_deals(200_000, u64::MAX, &classes);
+        assert!(runs < 500, "{runs} runs");
+    }
+
+    #[test]
+    #[should_panic(expected = "a run deals at least one row")]
+    fn empty_runs_rejected() {
+        ClassedCyclicDeal::new(&[(50.0, 2)]).deal_run(0);
+    }
+
     #[test]
     fn classed_total_matches_sequential_sum() {
         // The fraction denominators must share bits with the per-rank
@@ -462,6 +604,20 @@ mod tests {
                 picks.iter().map(|&(i, m)| (palette[i], m)).collect();
             if classes.iter().any(|&(s, _)| s > 0.0) {
                 check_classed_mirrors_fine(n, &classes);
+            }
+        }
+
+        #[test]
+        fn runs_match_row_deals_on_random_runs(
+            n in 0u64..3_000,
+            limit in 1u64..5_000,
+            picks in proptest::collection::vec((0usize..6, 1u64..400), 1..6),
+        ) {
+            let palette = [50.0, 90.0, 150.0, 50.0, 0.0, 1.0];
+            let classes: Vec<(f64, u64)> =
+                picks.iter().map(|&(i, m)| (palette[i], m)).collect();
+            if classes.iter().any(|&(s, _)| s > 0.0) {
+                check_runs_mirror_deals(n, limit, &classes);
             }
         }
     }

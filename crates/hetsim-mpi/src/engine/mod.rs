@@ -1697,21 +1697,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_analytic_forces_the_scheduler_with_identical_results() {
-        let cluster = het3();
-        let net = MpichEthernet::new(0.2e-3, 1e8);
-        let program: SpmdProgram<()> = record_spmd(&cluster, mixed_body);
-        let on = program.simulate(&cluster, &net);
-        set_analytic_enabled(false);
-        let off = program.simulate(&cluster, &net);
-        set_analytic_enabled(true);
-        assert_eq!(on.times, off.times);
-        assert_eq!(on.compute_times, off.compute_times);
-        assert_eq!(on.comm_times, off.comm_times);
-        assert_eq!(on.wait_times, off.wait_times);
-    }
-
-    #[test]
     fn misaligned_collective_schedules_are_rejected() {
         // Rank 0 reaches a barrier no one else joins: the analyzer
         // must refuse (the scheduler owns the deadlock diagnostic).

@@ -238,6 +238,8 @@ struct ChainRun {
 /// repeated addition and the classed network hooks. Bit-identical to
 /// the per-rank closed form — and transitively the event-driven engine
 /// and the threaded oracle — at every materializable size.
+///
+/// A batch of one over [`ge_mega_many`].
 pub fn ge_mega<N: NetworkModel>(
     cluster: &ClassedCluster,
     network: &N,
@@ -256,63 +258,153 @@ pub fn ge_mega_with<N: NetworkModel>(
     n: usize,
     block: usize,
 ) -> Result<MegaOutcome, FallbackReason> {
-    let simulate_started = std::time::Instant::now();
-    let outcome = if block == 1 {
-        ge_mega_eval(cluster, network, n)
-    } else {
-        Err(FallbackReason::UnclassedDistribution)
-    };
-    telemetry::add_simulate_wall_ns(simulate_started.elapsed().as_nanos() as u64);
-    match &outcome {
-        Ok(out) => {
-            let mut report =
-                EngineReport::new(EnginePath::Aggregated, out.ranks, out.classes as u64);
-            // The ops the per-rank engines would execute: the scatter's
-            // send/recv pairs, and per rank one broadcast + barrier per
-            // round plus the closing gather.
-            let rounds = n.saturating_sub(1) as u64;
-            report.p2p_events = 2 * (out.ranks - 1);
-            report.collective_events = (2 * rounds + 1) * out.ranks;
-            telemetry::record_simulation(&report);
-        }
-        Err(reason) => telemetry::record_fallback(*reason),
+    if block != 1 {
+        telemetry::record_fallback(FallbackReason::UnclassedDistribution);
+        return Err(FallbackReason::UnclassedDistribution);
     }
-    outcome
+    ge_mega_many(cluster, network, &[n]).pop().expect("one outcome per size")
+}
+
+/// [`ge_mega`] at every size of a problem-size grid, in the order
+/// given (unsorted and repeated sizes are fine), with one
+/// [`ClassedCyclicDeal`] shared by the whole grid.
+///
+/// The deal's winner sequence does not depend on `n`: the first `n`
+/// winners of a deal run to `max(sizes)` are exactly the winners of a
+/// deal run to `n`. So the grid deals once, records the winner table
+/// (run-length encoded, see [`ClassedCyclicDeal::deal_run`]), and
+/// reads each size's per-class row totals off the deal's counts as it
+/// passes that size. Telemetry stays per size — one
+/// [`EngineReport`] (or fallback) per entry of `sizes` — so a grid
+/// reports exactly what the same sizes priced one by one would.
+pub fn ge_mega_many<N: NetworkModel>(
+    cluster: &ClassedCluster,
+    network: &N,
+    sizes: &[usize],
+) -> Vec<Result<MegaOutcome, FallbackReason>> {
+    let simulate_started = std::time::Instant::now();
+    let outcomes = ge_mega_eval(cluster, network, sizes);
+    telemetry::add_simulate_wall_ns(simulate_started.elapsed().as_nanos() as u64);
+    for (&n, outcome) in sizes.iter().zip(&outcomes) {
+        match outcome {
+            Ok(out) => {
+                let mut report =
+                    EngineReport::new(EnginePath::Aggregated, out.ranks, out.classes as u64);
+                // The ops the per-rank engines would execute: the
+                // scatter's send/recv pairs, and per rank one broadcast
+                // + barrier per round plus the closing gather.
+                let rounds = n.saturating_sub(1) as u64;
+                report.p2p_events = 2 * (out.ranks - 1);
+                report.collective_events = (2 * rounds + 1) * out.ranks;
+                telemetry::record_simulation(&report);
+            }
+            Err(reason) => telemetry::record_fallback(*reason),
+        }
+    }
+    outcomes
 }
 
 fn ge_mega_eval<N: NetworkModel>(
     cluster: &ClassedCluster,
     network: &N,
+    sizes: &[usize],
+) -> Vec<Result<MegaOutcome, FallbackReason>> {
+    // The deal sees marked MFLOPS — the speeds the per-rank kernel
+    // hands to `CyclicDistribution::fine`.
+    let deal_classes: Vec<(f64, u64)> =
+        cluster.classes().iter().map(|c| (c.speed_mflops, c.count as u64)).collect();
+
+    // One deal to the largest size, in ascending size order: each
+    // size's per-class row totals are the deal's counts when it has
+    // dealt that many rows. The deal comes in long single-class runs
+    // (a few dozen for a whole HEET grid), recorded run-length encoded;
+    // every size's round replay reads a prefix of that one table.
+    let mut order: Vec<usize> = (0..sizes.len()).collect();
+    order.sort_unstable_by_key(|&i| sizes[i]);
+    let mut deal = ClassedCyclicDeal::new(&deal_classes);
+    let mut winners: Vec<(usize, u64)> = Vec::new();
+    let mut class_rows = vec![Vec::new(); sizes.len()];
+    for &i in &order {
+        let n = sizes[i] as u64;
+        while deal.rows_dealt() < n {
+            winners.push(deal.deal_run(n - deal.rows_dealt()));
+        }
+        class_rows[i] = deal.class_counts().to_vec();
+    }
+
+    sizes
+        .iter()
+        .zip(&class_rows)
+        .map(|(&n, rows)| ge_mega_size(cluster, network, n, rows, &winners))
+        .collect()
+}
+
+/// Replays a run-length-encoded winner table one row at a time.
+struct Replay<'a> {
+    runs: std::slice::Iter<'a, (usize, u64)>,
+    class: usize,
+    left: u64,
+}
+
+impl Replay<'_> {
+    #[inline]
+    fn next_winner(&mut self) -> usize {
+        if self.left == 0 {
+            (self.class, self.left) = *self.runs.next().expect("the deal covers every round");
+        }
+        self.left -= 1;
+        self.class
+    }
+}
+
+/// Relative width of the rendezvous screen's candidate band. Any
+/// width far above the f64 rounding error is exact (two roundings of
+/// `v·elim/s` per class, `~4.4e-16` between two classes); this one
+/// leaves six orders of magnitude of slack.
+const SCREEN_BAND: f64 = 1.0 - 1e-9;
+
+/// Rebuilds the rendezvous screen's candidate band: `(v[c], s[c])` for
+/// every class whose exact ratio `v[c]/s[c]` lies within
+/// [`SCREEN_BAND`] of the largest.
+///
+/// Why that is exact: a class's elimination time is
+/// `q = fl(fl(v·elim)/s) = (v/s)·elim·(1+δ₁)(1+δ₂)` with `|δ| ≤ u = 2⁻⁵³`,
+/// and `elim > 0` is shared by every class in a round. A class whose
+/// ratio sits more than `1e-9` (relative) below the top class's cannot
+/// reach the top class's `q` even with both roundings in its favour —
+/// the band's slack covers the roundings of the screen's own ratios
+/// and threshold many times over. So the largest `q` over the band is
+/// the largest over all classes, and since `fl(departure + q)` is
+/// monotone in `q`, so is the rendezvous — bit for bit. Every class
+/// with an exactly tied ratio stays in the band.
+fn screen(v: &[u64], speeds: &[f64], band: &mut Vec<(f64, f64)>) {
+    let top = v.iter().zip(speeds).map(|(&vc, &s)| vc as f64 / s).fold(0.0, f64::max);
+    let floor = top * SCREEN_BAND;
+    band.clear();
+    band.extend(
+        v.iter()
+            .zip(speeds)
+            .filter(|&(&vc, &s)| vc as f64 / s >= floor)
+            .map(|(&vc, &s)| (vc as f64, s)),
+    );
+}
+
+/// [`ge_mega`] at one size, given the class row totals of the first
+/// `n` deals and a run-length winner table covering at least them.
+fn ge_mega_size<N: NetworkModel>(
+    cluster: &ClassedCluster,
+    network: &N,
     n: usize,
+    class_rows: &[u64],
+    winners: &[(usize, u64)],
 ) -> Result<MegaOutcome, FallbackReason> {
     let p = cluster.size();
     let k = cluster.class_count();
-    // The deal sees marked MFLOPS — the speeds the per-rank kernel
-    // hands to `CyclicDistribution::fine`; compute times divide flop/s.
-    let deal_classes: Vec<(f64, u64)> =
-        cluster.classes().iter().map(|c| (c.speed_mflops, c.count as u64)).collect();
+    let class_members: Vec<u64> = cluster.classes().iter().map(|c| c.count as u64).collect();
+    // Compute times divide flop/s.
     let class_speed_flops: Vec<f64> =
         cluster.classes().iter().map(|c| c.speed_mflops * 1e6).collect();
-
-    // Pass 1 of the deal: per-class row totals, O(n · classes). The
-    // winner sequence is recorded on the way (one byte per row) so the
-    // stage-2 replay is a table read instead of a second full scan —
-    // the deal costs as much as the whole rendezvous pricing, so
-    // re-running it would nearly double the round loop.
-    let mut pass1 = ClassedCyclicDeal::new(&deal_classes);
-    let mut winners: Vec<u8> = Vec::new();
-    if k <= usize::from(u8::MAX) {
-        winners.reserve_exact(n);
-        for _ in 0..n {
-            winners.push(pass1.deal() as u8);
-        }
-    } else {
-        for _ in 0..n {
-            pass1.deal();
-        }
-    }
-    let class_rows = pass1.class_counts().to_vec();
-    let layout = ge_layout(cluster, &class_rows);
+    let layout = ge_layout(cluster, class_rows);
     let GeLayout { rank0_rows, runs, first_run } = &layout;
 
     // Stage 1: root-serialized scatter. Within a run every message
@@ -329,28 +421,9 @@ fn ge_mega_eval<N: NetworkModel>(
     }
     let a_last = chain; // rank 0's clock after stage 1
 
-    // Stage 2: elimination rounds, replaying the classed deal (pass 2)
-    // for pivot owners — from the recorded winner table when it fits
-    // in bytes, else by re-running the deal (same state machine, same
-    // sequence either way).
-    enum Replay<'a> {
-        Recorded(std::slice::Iter<'a, u8>),
-        Fresh(ClassedCyclicDeal),
-    }
-    impl Replay<'_> {
-        #[inline]
-        fn next_winner(&mut self) -> usize {
-            match self {
-                Replay::Recorded(it) => usize::from(*it.next().expect("pass 1 recorded n winners")),
-                Replay::Fresh(deal) => deal.deal(),
-            }
-        }
-    }
-    let mut replay = if winners.is_empty() && n > 0 {
-        Replay::Fresh(ClassedCyclicDeal::new(&deal_classes))
-    } else {
-        Replay::Recorded(winners.iter())
-    };
+    // Stage 2: elimination rounds; round `i`'s pivot owner is the
+    // class of the deal's `i`-th winner.
+    let mut replay = Replay { runs: winners.iter(), class: 0, left: 0 };
     let barrier_cost = SimTime::from_secs(network.barrier_time(p));
     let mut clk = SimTime::ZERO;
     if n >= 2 {
@@ -394,47 +467,48 @@ fn ge_mega_eval<N: NetworkModel>(
         // Ceil-countdown state: `v[c]` is the most below-pivot rows any
         // member of class `c` still owns (`⌈remaining/members⌉` — the
         // residue counts of an interval); `cnt[c]` is how many more of
-        // the class's pivots drain before `v[c]` drops.
+        // the class's pivots drain before `v[c]` drops. Only a drop
+        // moves the rendezvous screen, so the band is rebuilt there.
         let mut v = vec![0u64; k];
         let mut cnt = vec![0u64; k];
         for c in 0..k {
-            let m = deal_classes[c].1;
             if class_rows[c] > 0 {
-                v[c] = class_rows[c].div_ceil(m);
-                cnt[c] = class_rows[c] - (v[c] - 1) * m;
+                v[c] = class_rows[c].div_ceil(class_members[c]);
+                cnt[c] = class_rows[c] - (v[c] - 1) * class_members[c];
             }
         }
-        let drain = |w: usize, v: &mut [u64], cnt: &mut [u64]| {
+        let mut band = Vec::with_capacity(k);
+        let mut drain = |w: usize, v: &mut [u64], band: &mut Vec<(f64, f64)>| {
             debug_assert!(cnt[w] > 0, "a winning class always has rows left");
             cnt[w] -= 1;
             if cnt[w] == 0 {
                 v[w] -= 1;
-                cnt[w] = deal_classes[w].1;
+                cnt[w] = class_members[w];
+                screen(v, &class_speed_flops, band);
             }
         };
-        drain(w0, &mut v, &mut cnt);
+        screen(&v, &class_speed_flops, &mut band);
+        drain(w0, &mut v, &mut band);
 
         // Rounds 1…: every rank leaves the barrier with the shared
         // scalar `clk`, so the rendezvous is the departure plus the
-        // largest elimination time over classes. This is the hot loop
-        // — once per remaining matrix row — so it runs on raw f64
-        // state: `SimTime + SimTime` is the plain f64 add and
-        // `SimTime::max` the `>`-replace below, so the bits match the
-        // wrapped arithmetic exactly. (A padded-reciprocal screen that
-        // prunes divisions was tried and measured slower: the cyclic
-        // deal balances `v·elim/spd` across classes by construction,
-        // so no class is ever far enough from critical to skip.)
+        // largest elimination time over classes — over the screen's
+        // candidate band, which provably holds that largest time (see
+        // [`screen`]). This is the hot loop — once per remaining
+        // matrix row — so it runs on raw f64 state: `SimTime +
+        // SimTime` is the plain f64 add and `SimTime::max` the
+        // `>`-replace below, so the bits match the wrapped arithmetic
+        // exactly.
         let barrier_secs = barrier_cost.as_secs();
         let mut clk_secs = clk.as_secs();
         for i in 1..(n - 1) {
-            let w = replay.next_winner();
-            drain(w, &mut v, &mut cnt);
+            drain(replay.next_winner(), &mut v, &mut band);
             let elim = elimination_flops(n - i);
             let bytes = ((n - i + 1) * 8) as u64;
             let departure = clk_secs + network.bcast_time(p, bytes);
             let mut rendezvous = 0.0f64;
-            for (&vc, &spd) in v.iter().zip(class_speed_flops.iter()) {
-                let t = departure + vc as f64 * elim / spd;
+            for &(vc, spd) in &band {
+                let t = departure + vc * elim / spd;
                 if t > rendezvous {
                     rendezvous = t;
                 }
@@ -481,6 +555,7 @@ mod tests {
     use super::*;
     use crate::{ge_closed_form, mm_closed_form, power_closed_form};
     use hetpart::{BlockDistribution, CyclicDistribution};
+    use hetsim_cluster::classed::SpeedClass;
     use hetsim_cluster::network::{
         ConstantLatency, JitteredNetwork, MpichEthernet, SharedEthernet, SwitchedNetwork,
     };
@@ -576,6 +651,111 @@ mod tests {
                     assert_eq!(mega.ranks as usize, cluster.size());
                     assert!(mega.classes <= 2 * cluster.class_count() + 1);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn ge_mega_many_matches_one_by_one() {
+        // Unsorted, repeated, and degenerate sizes: a grid shares one
+        // deal, but each entry must price exactly as a lone call — the
+        // same makespan bits and the same telemetry inputs (one run per
+        // size, its classes and represented ranks).
+        let sizes = [129usize, 2, 17, 0, 64, 17, 1, 3, 2, 129, 0];
+        let mut all = clusters();
+        all.push(ClassedCluster::heet_zipf(33, 5, 50.0, 3.0));
+        for cluster in &all {
+            for (tag, net) in &networks() {
+                let net: &dyn NetworkModel = net.as_ref();
+                let grid = ge_mega_many(cluster, &net, &sizes);
+                assert_eq!(grid.len(), sizes.len());
+                for (&n, batched) in sizes.iter().zip(&grid) {
+                    let alone = ge_mega(cluster, &net, n).expect("classed network");
+                    let batched = batched.expect("classed network");
+                    assert_eq!(
+                        batched.makespan.as_secs().to_bits(),
+                        alone.makespan.as_secs().to_bits(),
+                        "ge grid diverged ({tag}, {}, n={n})",
+                        cluster.label
+                    );
+                    assert_eq!(batched.classes, alone.classes);
+                    assert_eq!(batched.ranks, alone.ranks);
+                }
+            }
+        }
+        let cluster = ClassedCluster::heet(40, 5, 50.0, 2.2);
+        assert!(ge_mega_many(&cluster, &MpichEthernet::new(0.3e-3, 1e8), &[]).is_empty());
+    }
+
+    #[test]
+    fn exact_ratio_ties_keep_the_screen_bit_identical() {
+        // Speed ladders in exact ratios make whole classes tie on
+        // `v/s` (and equal adjacent speeds tie outright), so the
+        // rendezvous screen's band holds several classes whose
+        // elimination times round to the same bits — every size must
+        // still match the per-rank closed form.
+        let ladder = |label: &str, classes: &[(f64, usize)]| {
+            ClassedCluster::new(
+                label,
+                classes
+                    .iter()
+                    .map(|&(speed_mflops, count)| SpeedClass { speed_mflops, count })
+                    .collect(),
+            )
+            .expect("valid classes")
+        };
+        let clusters = [
+            ladder("90/45", &[(90.0, 2), (45.0, 4)]),
+            ladder("90/60/30", &[(90.0, 1), (60.0, 3), (30.0, 2)]),
+            ladder("100/50/25/12.5", &[(100.0, 1), (50.0, 2), (25.0, 1), (12.5, 3)]),
+            ladder("equal-adjacent", &[(80.0, 2), (80.0, 3), (40.0, 1)]),
+        ];
+        let sizes: Vec<usize> = (0..600).chain([997, 1500, 2048]).collect();
+        let networks: [(&str, Box<dyn NetworkModel>); 2] = [
+            ("mpich", Box::new(MpichEthernet::new(0.30e-3, 1.0e8))),
+            ("switched", Box::new(SwitchedNetwork::new(1.2e-4, 9.0e-9))),
+        ];
+        for cluster in &clusters {
+            let spec = cluster.materialize();
+            for (tag, net) in &networks {
+                let net: &dyn NetworkModel = net.as_ref();
+                let grid = ge_mega_many(cluster, &net, &sizes);
+                for (&n, mega) in sizes.iter().zip(&grid) {
+                    let dist = CyclicDistribution::fine(n, &mflops(cluster));
+                    let per_rank = ge_closed_form(&spec, &net, n, &dist);
+                    assert_eq!(
+                        mega.expect("classed network").makespan,
+                        per_rank.makespan,
+                        "ge diverged on a ratio tie ({tag}, {}, n={n})",
+                        cluster.label
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn more_than_255_classes_match_the_per_rank_form() {
+        // 300 classes: winner indices past 255 would not fit a byte
+        // table; the run-length table holds any class index.
+        let classes: Vec<SpeedClass> = (0..300)
+            .map(|j| SpeedClass { speed_mflops: 40.0 + (j % 7) as f64 * 15.0, count: 1 + j % 3 })
+            .collect();
+        let cluster = ClassedCluster::new("wide", classes).expect("valid classes");
+        assert!(cluster.class_count() > usize::from(u8::MAX));
+        let spec = cluster.materialize();
+        let sizes = [701usize, 0, 3, 1, 2, 300, 17];
+        for (tag, net) in &networks() {
+            let net: &dyn NetworkModel = net.as_ref();
+            let grid = ge_mega_many(&cluster, &net, &sizes);
+            for (&n, mega) in sizes.iter().zip(&grid) {
+                let dist = CyclicDistribution::fine(n, &mflops(&cluster));
+                let per_rank = ge_closed_form(&spec, &net, n, &dist);
+                assert_eq!(
+                    mega.expect("classed network").makespan,
+                    per_rank.makespan,
+                    "ge diverged past 255 classes ({tag}, n={n})"
+                );
             }
         }
     }
