@@ -33,7 +33,9 @@ cmp /tmp/ci_faults_analytic.txt /tmp/ci_faults_engine.txt || {
     exit 1
 }
 # Recovery sweep smoke (DESIGN.md §12): runs, and holds the same
-# engine-equivalence contract.
+# engine-equivalence contract — here the lockstep evaluator splicing
+# checkpoint charges into shared clean recordings against event replay
+# of the materialized spliced programs.
 "$BIN" --quick recover > /tmp/ci_recover_analytic.txt
 "$BIN" --quick recover --no-analytic > /tmp/ci_recover_engine.txt
 cmp /tmp/ci_recover_analytic.txt /tmp/ci_recover_engine.txt || {
@@ -126,14 +128,18 @@ test "$hit" -ge "$MEMO_HIT_FLOOR" || {
     echo "full-suite memo hit rate ${hit}% dropped below the ${MEMO_HIT_FLOOR}% baseline" >&2
     exit 1
 }
-# Recovery telemetry gate (DESIGN.md §12): the lockstep analyzer must
-# reject recovery cells with the *typed* fallback reason — if the tag
-# vanishes, recovery runs are being mis-priced by the closed forms.
+# Recovery telemetry gate (DESIGN.md §12): untraced recovery cells —
+# checkpoint/restart splices included — must price on the lockstep
+# evaluator: full analytic coverage and no `recovery-ops` fallback.
 "$BIN" --quick recover --stats-out /tmp/ci_stats_recover.json > /dev/null
-grep -q 'recovery-ops' /tmp/ci_stats_recover.json || {
-    echo "recovery runs no longer report the typed recovery-ops fallback" >&2
+grep -q '"analytic_coverage_percent":100,' /tmp/ci_stats_recover.json || {
+    echo "recovery sweep lost full analytic coverage" >&2
     exit 1
 }
+if grep -q 'recovery-ops' /tmp/ci_stats_recover.json; then
+    echo "recovery runs fell back to the event-driven engine (recovery-ops)" >&2
+    exit 1
+fi
 # Determinism smoke: a repeated run must reproduce the document byte
 # for byte. The checksum is the recorded telemetry baseline.
 "$BIN" --quick --stats-out /tmp/ci_stats_quick2.json > /dev/null

@@ -18,15 +18,17 @@
 //! fitted-trend inversion. Everything — death placement, checkpoint
 //! cadence, repartition — is a pure function of (plan seed base,
 //! cluster, n), so the sweep is byte-identical across runs, `--jobs`
-//! worker counts, and `--no-analytic` (recovery programs reject the
-//! lockstep analyzer with the typed `recovery-ops` fallback and price
-//! on the event-driven engine either way).
+//! worker counts, and `--no-analytic` (untraced recovery runs price on
+//! the lockstep evaluator, which absorbs the recovery ops into its local
+//! runs; `--no-analytic` replays the same programs event-driven).
 //!
 //! The second table is the Daly check: at a fixed representative size,
 //! mean makespan over a deterministic seed campaign across interval
 //! multipliers `[0.25, 0.5, 1, 2, 4] × daly`; the measured optimum must
 //! agree with the prediction within one grid step (pinned by tests and
-//! EXPERIMENTS.md "R2").
+//! EXPERIMENTS.md "R2"). Each kernel's campaign records its clean
+//! program once ([`CheckpointRecording`]) and prices every seed ×
+//! interval cell from it.
 
 use crate::params::ExperimentParams;
 use crate::systems::{GeSystem, MmSystem};
@@ -42,7 +44,7 @@ use kernels::ge::{ge_parallel_timed_recoverable, ge_parallel_timed_recoverable_t
 use kernels::mm::{mm_parallel_timed_recoverable, mm_parallel_timed_recoverable_traced};
 use kernels::recover::estimated_run_secs;
 use kernels::workload::{ge_work, mm_work};
-use kernels::RecoveryOutcome;
+use kernels::{CheckpointRecording, RecoveryOutcome};
 use scalability::metric::{AlgorithmSystem, ScalabilityLadder};
 use scalability::report::{analyze, RecoveryBreakdown, RobustnessAnnex, ScalabilityReport};
 
@@ -412,6 +414,13 @@ fn daly_check(kernel: Kernel, p: usize, quick: bool) -> DalyCheck {
     let daly = daly_interval(est, delta);
     let seeds = if quick { 16 } else { 24 };
 
+    // Every cell shares one cluster and one n, so they share one clean
+    // recording and differ only in their spliced checkpoint, detect and
+    // lost-work charges.
+    let recording = match kernel {
+        Kernel::Ge => CheckpointRecording::ge(&cluster, n),
+        Kernel::Mm => CheckpointRecording::mm(&cluster, n),
+    };
     // One campaign cell per (multiplier, seed); the pool assembles
     // results in cell order, so the means below are fixed-order sums
     // and the table is byte-identical for every `--jobs N`.
@@ -419,11 +428,7 @@ fn daly_check(kernel: Kernel, p: usize, quick: bool) -> DalyCheck {
         (0..DALY_GRID.len()).flat_map(|mi| (0..seeds).map(move |s| (mi, s))).collect();
     let makespans = crate::pool::run_indexed(&cells, |_, &(mi, s)| {
         let plan = FaultPlan::new(crate::seed::plan_seed() + DALY_SEED_SALT + s).with_mtbf(mtbf);
-        let policy = RecoveryPolicy::CheckpointRestart { interval_secs: DALY_GRID[mi] * daly };
-        let outcome = match kernel {
-            Kernel::Ge => ge_parallel_timed_recoverable(&cluster, &net, &plan, policy, n),
-            Kernel::Mm => mm_parallel_timed_recoverable(&cluster, &net, &plan, policy, n),
-        };
+        let outcome = recording.checkpoint_restart(&net, &plan, DALY_GRID[mi] * daly);
         outcome.timing.makespan.as_secs()
     });
 

@@ -212,7 +212,7 @@ mod tests {
         let text = report.to_json().to_string();
         let parsed = Json::parse(&text).expect("stats document parses");
         let doc = parsed.as_obj().expect("object top level");
-        assert_eq!(doc["schema"].as_str(), Some("hetscale-telemetry/2"));
+        assert_eq!(doc["schema"].as_str(), Some("hetscale-telemetry/3"));
     }
 
     #[test]

@@ -276,7 +276,7 @@ fn quick_stats_doc_reports_full_analytic_coverage_inline() {
         text.contains("\"analytic_coverage_percent\":100,"),
         "coverage gate pattern missing: {text}"
     );
-    assert!(text.contains("\"schema\":\"hetscale-telemetry/2\""), "schema missing: {text}");
+    assert!(text.contains("\"schema\":\"hetscale-telemetry/3\""), "schema missing: {text}");
 }
 
 #[test]
@@ -382,15 +382,22 @@ fn usage_and_list_cover_recover_and_seed() {
 }
 
 #[test]
-fn recover_stats_doc_reports_the_typed_recovery_fallback() {
-    // The lockstep closed forms reject recovery ops, so every recovery
-    // cell must surface the typed `recovery-ops` fallback reason in the
-    // telemetry document — the tag ci.sh greps for.
+fn recover_stats_doc_prices_recovery_cells_analytically() {
+    // The lockstep grammar absorbs the recovery ops into its local
+    // runs, so every untraced recovery cell prices analytically: no
+    // `recovery-ops` fallback, full coverage — the gate ci.sh greps for.
     let dir = temp_dir("recover");
     let doc = stats_doc(&dir, "recover.json", &["--quick", "recover"]);
     std::fs::remove_dir_all(&dir).ok();
     let text = String::from_utf8(doc).expect("utf-8 stats");
-    assert!(text.contains("recovery-ops"), "typed fallback reason missing: {text}");
+    assert!(!text.contains("recovery-ops"), "recovery cells fell back: {text}");
+    assert!(text.contains("\"analytic_coverage_percent\":100,"), "coverage below 100%: {text}");
+    let doc = hetsim_obs::Json::parse(&text).expect("stats parse");
+    let paths = &doc.as_obj().expect("object")["engine"].as_obj().expect("engine")["paths"];
+    let paths = paths.as_obj().expect("paths object");
+    assert!(paths["analytic_sims"].as_num().expect("count") > 0.0, "no analytic cells: {text}");
+    let event = paths["event_driven"].as_obj().expect("event-driven object");
+    assert_eq!(event["fallback"].as_num(), Some(0.0), "fallback runs: {text}");
 }
 
 #[test]

@@ -188,21 +188,22 @@ impl<R> SpmdProgram<R> {
         let mut phases = Vec::with_capacity(lockstep.phases.len());
         for phase in &lockstep.phases {
             phases.push(match phase {
-                Phase::Compute { runs } => {
-                    let flops = (0..nc)
-                        .map(|c| {
-                            let (start, end) = runs[c];
-                            self.classes[c][start as usize..end as usize]
-                                .iter()
-                                .map(|op| {
-                                    let Op::Compute { flops } = *op else {
-                                        unreachable!("compute runs hold only compute ops")
-                                    };
-                                    flops
-                                })
-                                .collect()
-                        })
-                        .collect();
+                Phase::Local { at } => {
+                    let runs = &lockstep.runs[*at as usize..*at as usize + nc];
+                    let mut flops = Vec::with_capacity(nc);
+                    for (c, &(start, end)) in runs.iter().enumerate() {
+                        let ops = &self.classes[c][start as usize..end as usize];
+                        // The aggregated form folds compute only; the
+                        // failure-recovery charges have no class form.
+                        let run: Option<Vec<f64>> = ops
+                            .iter()
+                            .map(|op| match *op {
+                                Op::Compute { flops } => Some(flops),
+                                _ => None,
+                            })
+                            .collect();
+                        flops.push(run.ok_or(FallbackReason::RecoveryOps)?);
+                    }
                     AggPhase::Compute { flops }
                 }
                 Phase::Barrier => AggPhase::Barrier,
@@ -214,8 +215,9 @@ impl<R> SpmdProgram<R> {
                     root_class: self.class_of[*root as usize] as u32,
                     count: p + gather_total[*root as usize],
                 },
-                Phase::Gather { root, counts, sizes, .. } => {
-                    let root = *root as usize;
+                Phase::Gather(gather) => {
+                    let (counts, sizes) = (&gather.counts, &gather.sizes);
+                    let root = gather.root as usize;
                     gather_total[root] = counts.iter().sum();
                     let size_runs = rle(sizes.iter().copied());
                     // Locate the run containing the root rank.
@@ -239,7 +241,7 @@ impl<R> SpmdProgram<R> {
                         leaf_bytes,
                     }
                 }
-                Phase::P2p { steps } => self.scatter_phase(steps)?,
+                Phase::P2p(p2p) => self.scatter_phase(&p2p.steps)?,
             });
         }
 

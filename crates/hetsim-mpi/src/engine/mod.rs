@@ -165,7 +165,7 @@ impl SpmdTimer for Rank<'_> {
             self.broadcast_f64s(root, Some(&vec![0.0; count]));
         } else {
             let got = self.broadcast_f64s(root, None);
-            debug_assert_eq!(got.len(), count, "broadcast_count: size disagrees with the root");
+            assert_eq!(got.len(), count, "broadcast_count: size disagrees with the root");
         }
     }
 
@@ -197,42 +197,53 @@ impl SpmdTimer for Rank<'_> {
 /// compare as `f64`, which is exact here — recorded flops are finite and
 /// non-negative, so equal values are bit-equal up to the sign of zero,
 /// and `±0.0` flops price identically).
+///
+/// Ranks and collective ids are stored as `u32`, so an op is 24 bytes
+/// (element counts stay `usize`: a mega-scale broadcast exceeds `u32`).
+/// Recordings are written once and read by every pricing, and at GE's
+/// thousands of ops per rank their size is much of the record phase's
+/// cost.
 #[derive(Debug, Clone, PartialEq)]
 enum Op {
     Compute {
         flops: f64,
     },
     Send {
-        dest: usize,
+        dest: u32,
         tag: Tag,
         count: usize,
     },
     Recv {
-        source: usize,
+        source: u32,
         tag: Tag,
         expect: usize,
     },
     Barrier {
-        op: u64,
+        op: u32,
     },
     BcastRoot {
-        op: u64,
+        op: u32,
         count: usize,
     },
-    /// Broadcast receiver; `expect` is `None` for the allgather-derived
-    /// broadcast whose packed size only the root knows.
+    /// Broadcast receiver expecting `expect` elements.
     BcastRecv {
-        op: u64,
-        root: usize,
-        expect: Option<usize>,
+        op: u32,
+        root: u32,
+        expect: usize,
+    },
+    /// Receiver of the allgather-derived broadcast, whose packed size
+    /// only the root knows.
+    BcastRecvDerived {
+        op: u32,
+        root: u32,
     },
     GatherRoot {
-        op: u64,
+        op: u32,
         count: usize,
     },
     GatherLeaf {
-        op: u64,
-        root: usize,
+        op: u32,
+        root: u32,
         count: usize,
     },
     /// Root half of the broadcast that closes an allgather: its payload
@@ -240,7 +251,7 @@ enum Op {
     /// from the immediately preceding gather (mirrors the packed
     /// length-header layout of [`Rank::allgather_f64s`]).
     BcastRootDerived {
-        op: u64,
+        op: u32,
     },
     /// Checkpoint image write of `bytes` (local, never blocks).
     Checkpoint {
@@ -258,6 +269,39 @@ enum Op {
     },
 }
 
+const _: () = assert!(std::mem::size_of::<Op>() == 24);
+
+/// `v` as a recorded `u32` field.
+fn narrow(v: usize, what: &str) -> u32 {
+    u32::try_from(v).unwrap_or_else(|_| panic!("{what} {v} exceeds the recorder's u32 range"))
+}
+
+impl Op {
+    /// Local ops advance only their own rank's clock — compute and the
+    /// failure-recovery charges. They never block, so both engines
+    /// charge them through [`SimRank::local`] and the lockstep grammar
+    /// absorbs them into local runs.
+    fn is_local(&self) -> bool {
+        matches!(
+            self,
+            Op::Compute { .. } | Op::Checkpoint { .. } | Op::Detect { .. } | Op::Recover { .. }
+        )
+    }
+
+    fn is_p2p(&self) -> bool {
+        matches!(self, Op::Send { .. } | Op::Recv { .. })
+    }
+
+    /// The op one [`SpmdTimer::recover`] records.
+    fn recover(lost_flops: f64, moved_bytes: u64) -> Op {
+        assert!(
+            lost_flops.is_finite() && lost_flops >= 0.0,
+            "lost work must be finite and ≥ 0 flops"
+        );
+        Op::Recover { lost_flops, moved_bytes }
+    }
+}
+
 /// Recording [`SpmdTimer`]: logs a rank's operation list for the
 /// simulator instead of executing anything. Created internally by the
 /// `run_spmd_fast*` entry points; bodies only see `&mut RecordTimer`.
@@ -269,8 +313,8 @@ pub struct RecordTimer {
 }
 
 impl RecordTimer {
-    fn next_op(&mut self) -> u64 {
-        let op = self.collective_seq;
+    fn next_op(&mut self) -> u32 {
+        let op = narrow(self.collective_seq as usize, "collective id");
         self.collective_seq += 1;
         op
     }
@@ -293,13 +337,13 @@ impl SpmdTimer for RecordTimer {
     fn send_count(&mut self, dest: usize, tag: Tag, count: usize) {
         assert!(dest < self.size, "destination rank {dest} out of range");
         assert_ne!(dest, self.id, "self-send is not supported");
-        self.ops.push(Op::Send { dest, tag, count });
+        self.ops.push(Op::Send { dest: narrow(dest, "rank"), tag, count });
     }
 
     fn recv_count(&mut self, source: usize, tag: Tag, expect: usize) {
         assert!(source < self.size, "source rank {source} out of range");
         assert_ne!(source, self.id, "self-receive is not supported");
-        self.ops.push(Op::Recv { source, tag, expect });
+        self.ops.push(Op::Recv { source: narrow(source, "rank"), tag, expect });
     }
 
     fn barrier(&mut self) {
@@ -313,7 +357,7 @@ impl SpmdTimer for RecordTimer {
         if self.id == root {
             self.ops.push(Op::BcastRoot { op, count });
         } else {
-            self.ops.push(Op::BcastRecv { op, root, expect: Some(count) });
+            self.ops.push(Op::BcastRecv { op, root: narrow(root, "rank"), expect: count });
         }
     }
 
@@ -323,7 +367,7 @@ impl SpmdTimer for RecordTimer {
         if self.id == root {
             self.ops.push(Op::GatherRoot { op, count });
         } else {
-            self.ops.push(Op::GatherLeaf { op, root, count });
+            self.ops.push(Op::GatherLeaf { op, root: narrow(root, "rank"), count });
         }
     }
 
@@ -335,7 +379,7 @@ impl SpmdTimer for RecordTimer {
             self.ops.push(Op::BcastRootDerived { op: bcast_op });
         } else {
             self.ops.push(Op::GatherLeaf { op: gather_op, root: 0, count });
-            self.ops.push(Op::BcastRecv { op: bcast_op, root: 0, expect: None });
+            self.ops.push(Op::BcastRecvDerived { op: bcast_op, root: 0 });
         }
     }
 
@@ -352,12 +396,134 @@ impl SpmdTimer for RecordTimer {
     }
 
     fn recover(&mut self, lost_flops: f64, moved_bytes: u64) {
-        assert!(
-            lost_flops.is_finite() && lost_flops >= 0.0,
-            "lost work must be finite and ≥ 0 flops"
-        );
-        self.ops.push(Op::Recover { lost_flops, moved_bytes });
+        self.ops.push(Op::recover(lost_flops, moved_bytes));
     }
+}
+
+/// Per-rank local ops spliced into a recorded program — the
+/// checkpoint, detector-timeout and recovery charges a checkpoint/restart
+/// run adds to an otherwise clean recording, so one recording prices
+/// many such runs ([`SpmdProgram::price`]).
+///
+/// A position is `(collective, offset)`: inside the maximal run of
+/// local ops (compute and recovery charges) that immediately precedes
+/// the rank's `collective`-th collective op — numbered as
+/// [`RecordTimer`] numbers them, densely from 0, an allgather counting
+/// two — after the run's first `offset` ops. `collective` equal to the
+/// rank's collective count addresses the trailing run. Ops at one
+/// position keep their insertion order, and a rank's inserts must come
+/// in non-decreasing position order. Pricing panics when an offset
+/// overruns its run or a collective index overruns the program.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LocalInserts {
+    ranks: Vec<Vec<Insert>>,
+}
+
+/// One spliced local op at its position (see [`LocalInserts`]).
+#[derive(Debug, Clone, PartialEq)]
+struct Insert {
+    collective: u64,
+    offset: u32,
+    op: Op,
+}
+
+/// Panic message of an insert whose offset overruns its local run.
+const OFFSET_PAST_RUN: &str = "insert offset past the end of its local run";
+/// Panic message of an insert naming a collective the program lacks.
+const INSERT_PAST_END: &str = "insert names a collective past the program's last";
+
+impl LocalInserts {
+    /// No inserts, for a `p`-rank program.
+    pub fn new(p: usize) -> LocalInserts {
+        LocalInserts { ranks: vec![Vec::new(); p] }
+    }
+
+    fn push(&mut self, rank: usize, collective: u64, offset: usize, op: Op) {
+        let offset = u32::try_from(offset).expect("offset fits the op-index range");
+        let list = &mut self.ranks[rank];
+        assert!(
+            list.last().is_none_or(|l| (l.collective, l.offset) <= (collective, offset)),
+            "rank {rank}'s inserts must come in non-decreasing position order"
+        );
+        list.push(Insert { collective, offset, op });
+    }
+
+    /// Splices a checkpoint image write of `bytes` (see
+    /// [`SpmdTimer::checkpoint`]).
+    pub fn checkpoint(&mut self, rank: usize, collective: u64, offset: usize, bytes: u64) {
+        self.push(rank, collective, offset, Op::Checkpoint { bytes });
+    }
+
+    /// Splices a failure-detector timeout (see
+    /// [`SpmdTimer::detect_failure`]).
+    pub fn detect_failure(&mut self, rank: usize, collective: u64, offset: usize, secs: f64) {
+        assert!(secs.is_finite() && secs >= 0.0, "detector timeout must be finite and ≥ 0");
+        self.push(rank, collective, offset, Op::Detect { secs });
+    }
+
+    /// Splices a recovery replay (see [`SpmdTimer::recover`]).
+    pub fn recover(
+        &mut self,
+        rank: usize,
+        collective: u64,
+        offset: usize,
+        lost_flops: f64,
+        moved_bytes: u64,
+    ) {
+        self.push(rank, collective, offset, Op::recover(lost_flops, moved_bytes));
+    }
+}
+
+/// `ops` with `inserts` spliced in at their positions — the
+/// materialized program the event-driven path replays, and the
+/// reference the lockstep evaluator's in-place splicing is pinned to.
+fn splice_ops(ops: &[Op], inserts: &[Insert]) -> Vec<Op> {
+    /// Resolves every insert due before collective `coll`, whose local
+    /// run spans `[run_start, run_end)`, to a flat op index.
+    fn place(inserts: &[Insert], at: &mut Vec<usize>, coll: u64, run: (usize, usize)) {
+        while let Some(ins) = inserts.get(at.len()).filter(|i| i.collective == coll) {
+            let pos = run.0 + ins.offset as usize;
+            assert!(pos <= run.1, "{OFFSET_PAST_RUN}");
+            at.push(pos);
+        }
+    }
+    let mut at = Vec::with_capacity(inserts.len());
+    let mut coll = 0u64;
+    let mut run_start = 0usize;
+    for (idx, op) in ops.iter().enumerate() {
+        if op.is_local() {
+            continue;
+        }
+        if !op.is_p2p() {
+            place(inserts, &mut at, coll, (run_start, idx));
+            coll += 1;
+        }
+        run_start = idx + 1;
+    }
+    place(inserts, &mut at, coll, (run_start, ops.len()));
+    assert!(at.len() == inserts.len(), "{INSERT_PAST_END}");
+
+    let mut out = Vec::with_capacity(ops.len() + inserts.len());
+    let mut done = 0usize;
+    for (ins, &pos) in inserts.iter().zip(&at) {
+        out.extend_from_slice(&ops[done..pos]);
+        out.push(ins.op.clone());
+        done = pos;
+    }
+    out.extend_from_slice(&ops[done..]);
+    out
+}
+
+/// How one pricing of a recording runs ([`SpmdProgram::price`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PriceSpec<'a> {
+    /// Runtime faults: degradation windows and lossy links. Deaths
+    /// must already be resolved (see [`FaultPlan::surviving_cluster`]).
+    pub faults: Option<&'a FaultPlan>,
+    /// Record per-rank traces (keeps the event-driven scheduler).
+    pub tracing: bool,
+    /// Local ops spliced into the recording.
+    pub inserts: Option<&'a LocalInserts>,
 }
 
 /// An in-flight sized message (the fast-path `Message`).
@@ -410,6 +576,9 @@ struct SimRank {
     wait_time: SimTime,
     speed_flops: f64,
     send_seq: Vec<u64>,
+    /// The fault plan degrades this rank's speed in some window — the
+    /// only case compute looks the windows up.
+    degraded: bool,
     trace: RankTrace,
     pc: usize,
     last_gather_counts: Vec<usize>,
@@ -423,11 +592,11 @@ struct SimRank {
 }
 
 impl SimRank {
-    /// `faulted` sizes the per-destination retry sequence table; only
+    /// A fault plan sizes the per-destination retry sequence table; only
     /// faulted replays consult it (`charge_link_retries` early-returns
     /// without a plan), and eagerly allocating it per rank made a
     /// fault-free P-rank replay O(P²) in memory.
-    fn new(id: usize, cluster: &ClusterSpec, faulted: bool) -> SimRank {
+    fn new(id: usize, cluster: &ClusterSpec, faults: Option<&FaultPlan>) -> SimRank {
         SimRank {
             id,
             clock: SimTime::ZERO,
@@ -435,7 +604,8 @@ impl SimRank {
             comm_time: SimTime::ZERO,
             wait_time: SimTime::ZERO,
             speed_flops: cluster.nodes()[id].marked_speed_flops(),
-            send_seq: if faulted { vec![0; cluster.size()] } else { Vec::new() },
+            send_seq: if faults.is_some() { vec![0; cluster.size()] } else { Vec::new() },
+            degraded: faults.is_some_and(|plan| plan.windows_for(id).is_some()),
             trace: RankTrace::default(),
             pc: 0,
             last_gather_counts: Vec::new(),
@@ -474,7 +644,7 @@ impl SimRank {
     /// Mirrors [`Rank::compute_flops`] float-op for float-op.
     fn compute(&mut self, tracing: bool, faults: Option<&FaultPlan>, flops: f64) {
         let start = self.clock;
-        match faults.and_then(|p| p.windows_for(self.id)) {
+        match faults.filter(|_| self.degraded).and_then(|p| p.windows_for(self.id)) {
             Some(windows) => {
                 let end =
                     hetsim_cluster::faults::degraded_end(windows, start, flops, self.speed_flops);
@@ -488,6 +658,41 @@ impl SimRank {
             }
         }
         self.record(tracing, OpKind::Compute, start, 0, None);
+    }
+
+    /// Charges one local op (see [`Op::is_local`]) — the single arm both
+    /// engines use. Compute mirrors [`Rank::compute_flops`] (degraded by
+    /// the plan's windows); the recovery charges mirror
+    /// [`Rank::checkpoint`], [`Rank::detect_failure`] and
+    /// [`Rank::recover`] float-op for float-op, including `recover`'s
+    /// zero-operand span omissions.
+    fn local(&mut self, tracing: bool, faults: Option<&FaultPlan>, op: &Op) {
+        match *op {
+            Op::Compute { flops } => self.compute(tracing, faults, flops),
+            Op::Checkpoint { bytes } => {
+                let dt = SimTime::from_secs(hetsim_cluster::faults::checkpoint_cost_secs(bytes));
+                self.charge_comm(tracing, self.clock + dt, OpKind::Checkpoint, bytes, None);
+            }
+            Op::Detect { secs } => {
+                let dt = SimTime::from_secs(secs);
+                self.charge_comm(tracing, self.clock + dt, OpKind::Detect, 0, None);
+            }
+            Op::Recover { lost_flops, moved_bytes } => {
+                if lost_flops > 0.0 {
+                    let dt = SimTime::from_secs(lost_flops / self.speed_flops);
+                    self.charge_comm(tracing, self.clock + dt, OpKind::LostWork, 0, None);
+                }
+                if moved_bytes > 0 {
+                    let dt = SimTime::from_secs(
+                        moved_bytes as f64
+                            / hetsim_cluster::faults::REBALANCE_BANDWIDTH_BYTES_PER_SEC,
+                    );
+                    let exit = self.clock + dt;
+                    self.charge_comm(tracing, exit, OpKind::Rebalance, moved_bytes, None);
+                }
+            }
+            _ => unreachable!("not a local op: {op:?}"),
+        }
     }
 
     /// Mirrors `Rank::charge_link_retries`.
@@ -608,7 +813,7 @@ struct SimShared<'a, N: NetworkModel> {
 fn slot_mut<'s>(
     slots: &'s mut [Option<SlotBox>],
     live: &mut usize,
-    op: u64,
+    op: u32,
     make: impl FnOnce() -> SimSlot,
 ) -> &'s mut SlotBox {
     let cell = &mut slots[op as usize];
@@ -620,7 +825,7 @@ fn slot_mut<'s>(
 }
 
 /// Removes the slot for `op`, returning it for by-value consumption.
-fn take_slot(slots: &mut [Option<SlotBox>], live: &mut usize, op: u64) -> SlotBox {
+fn take_slot(slots: &mut [Option<SlotBox>], live: &mut usize, op: u32) -> SlotBox {
     *live -= 1;
     slots[op as usize].take().expect("slot present")
 }
@@ -659,7 +864,7 @@ fn pooled<T: Clone>(pool: &mut Vec<Vec<Option<T>>>, p: usize) -> Vec<Option<T>> 
 impl<N: NetworkModel> SimShared<'_, N> {
     /// Root half of a broadcast (explicit or allgather-derived), with
     /// the same operation order as [`Rank::broadcast_f64s`].
-    fn bcast_root(&mut self, rank: &mut SimRank, op: u64, count: usize) {
+    fn bcast_root(&mut self, rank: &mut SimRank, op: u32, count: usize) {
         let bytes = (count * 8) as u64;
         if self.faults.is_some() {
             // Fault-free runs skip the per-peer walk entirely
@@ -688,13 +893,49 @@ impl<N: NetworkModel> SimShared<'_, N> {
         rank.charge_comm(self.tracing, departure, OpKind::Bcast, bytes, None);
     }
 
+    /// A broadcast receive; `expect` is `None` on the allgather-derived
+    /// broadcast, whose packed size only the root knows.
+    fn bcast_recv(
+        &mut self,
+        rank: &mut SimRank,
+        op: u32,
+        root: u32,
+        expect: Option<usize>,
+    ) -> Step {
+        // Receivers may arrive before the root; the slot is created on
+        // first touch so the wake list has somewhere to live.
+        let slot = slot_mut(&mut self.slots, &mut self.live, op, || SimSlot::Bcast {
+            deposit: None,
+            reads: 0,
+        });
+        let SimSlot::Bcast { deposit, reads } = &mut slot.slot else {
+            panic!("collective sequence mismatch: op {op} is not a bcast");
+        };
+        let Some((departure, count)) = *deposit else {
+            park(&mut self.wait_link, slot, rank.id);
+            return Step::Blocked;
+        };
+        if let Some(expect) = expect {
+            assert_eq!(count, expect, "broadcast_count: size disagrees with the root");
+        }
+        *reads += 1;
+        if *reads == self.p - 1 {
+            take_slot(&mut self.slots, &mut self.live, op);
+        }
+        let bytes = (count * 8) as u64;
+        let exit = rank.clock.max(departure);
+        rank.charge_comm(self.tracing, exit, OpKind::Bcast, bytes, Some(root as usize));
+        Step::Progress
+    }
+
     fn exec(&mut self, rank: &mut SimRank, op: &Op) -> Step {
         match *op {
-            Op::Compute { flops } => {
-                rank.compute(self.tracing, self.faults, flops);
+            Op::Compute { .. } | Op::Checkpoint { .. } | Op::Detect { .. } | Op::Recover { .. } => {
+                rank.local(self.tracing, self.faults, op);
                 Step::Progress
             }
             Op::Send { dest, tag, count } => {
+                let dest = dest as usize;
                 let bytes = (count * 8) as u64;
                 rank.charge_link_retries(self.tracing, self.faults, dest, bytes);
                 let sent_at = rank.clock;
@@ -714,6 +955,7 @@ impl<N: NetworkModel> SimShared<'_, N> {
                 Step::Progress
             }
             Op::Recv { source, tag, expect } => {
+                let source = source as usize;
                 let Some(idx) =
                     self.mailboxes[rank.id].iter().position(|m| m.source == source && m.tag == tag)
                 else {
@@ -797,41 +1039,8 @@ impl<N: NetworkModel> SimShared<'_, N> {
                 self.bcast_root(rank, op, count);
                 Step::Progress
             }
-            Op::BcastRecv { op, root, expect } => {
-                // Receivers may arrive before the root; the slot is
-                // created on first touch so the wake list has somewhere
-                // to live.
-                let slot = slot_mut(&mut self.slots, &mut self.live, op, || SimSlot::Bcast {
-                    deposit: None,
-                    reads: 0,
-                });
-                let SimSlot::Bcast { deposit, reads } = &mut slot.slot else {
-                    panic!("collective sequence mismatch: op {op} is not a bcast");
-                };
-                let Some((departure, count)) = *deposit else {
-                    park(&mut self.wait_link, slot, rank.id);
-                    return Step::Blocked;
-                };
-                if let Some(expect) = expect {
-                    debug_assert_eq!(
-                        count, expect,
-                        "broadcast_count: size disagrees with the root"
-                    );
-                }
-                *reads += 1;
-                if *reads == self.p - 1 {
-                    take_slot(&mut self.slots, &mut self.live, op);
-                }
-                let bytes = (count * 8) as u64;
-                rank.charge_comm(
-                    self.tracing,
-                    rank.clock.max(departure),
-                    OpKind::Bcast,
-                    bytes,
-                    Some(root),
-                );
-                Step::Progress
-            }
+            Op::BcastRecv { op, root, expect } => self.bcast_recv(rank, op, root, Some(expect)),
+            Op::BcastRecvDerived { op, root } => self.bcast_recv(rank, op, root, None),
             Op::GatherRoot { op, count } => {
                 let p = self.p;
                 let pool = &mut self.gather_pool;
@@ -878,41 +1087,8 @@ impl<N: NetworkModel> SimShared<'_, N> {
                 self.gather_pool.push(deposits);
                 Step::Progress
             }
-            Op::Checkpoint { bytes } => {
-                // Mirrors [`Rank::checkpoint`] float-op for float-op.
-                let dt = SimTime::from_secs(hetsim_cluster::faults::checkpoint_cost_secs(bytes));
-                rank.charge_comm(self.tracing, rank.clock + dt, OpKind::Checkpoint, bytes, None);
-                Step::Progress
-            }
-            Op::Detect { secs } => {
-                // Mirrors [`Rank::detect_failure`].
-                let dt = SimTime::from_secs(secs);
-                rank.charge_comm(self.tracing, rank.clock + dt, OpKind::Detect, 0, None);
-                Step::Progress
-            }
-            Op::Recover { lost_flops, moved_bytes } => {
-                // Mirrors [`Rank::recover`], including the zero-operand
-                // span omissions.
-                if lost_flops > 0.0 {
-                    let dt = SimTime::from_secs(lost_flops / rank.speed_flops);
-                    rank.charge_comm(self.tracing, rank.clock + dt, OpKind::LostWork, 0, None);
-                }
-                if moved_bytes > 0 {
-                    let dt = SimTime::from_secs(
-                        moved_bytes as f64
-                            / hetsim_cluster::faults::REBALANCE_BANDWIDTH_BYTES_PER_SEC,
-                    );
-                    rank.charge_comm(
-                        self.tracing,
-                        rank.clock + dt,
-                        OpKind::Rebalance,
-                        moved_bytes,
-                        None,
-                    );
-                }
-                Step::Progress
-            }
             Op::GatherLeaf { op, root, count } => {
+                let root = root as usize;
                 let bytes = (count * 8) as u64;
                 rank.charge_link_retries(self.tracing, self.faults, root, bytes);
                 let p = self.p;
@@ -960,21 +1136,22 @@ fn class_hash(speed_bits: u64, ops: &[Op]) -> u64 {
         h = match *op {
             Op::Compute { flops } => mix(mix(h, 1), flops.to_bits()),
             Op::Send { dest, tag, count } => {
-                mix(mix(mix(mix(h, 2), dest as u64), tag.0 as u64), count as u64)
+                mix(mix(mix(mix(h, 2), dest.into()), tag.0.into()), count as u64)
             }
             Op::Recv { source, tag, expect } => {
-                mix(mix(mix(mix(h, 3), source as u64), tag.0 as u64), expect as u64)
+                mix(mix(mix(mix(h, 3), source.into()), tag.0.into()), expect as u64)
             }
-            Op::Barrier { op } => mix(mix(h, 4), op),
-            Op::BcastRoot { op, count } => mix(mix(mix(h, 5), op), count as u64),
+            Op::Barrier { op } => mix(mix(h, 4), op.into()),
+            Op::BcastRoot { op, count } => mix(mix(mix(h, 5), op.into()), count as u64),
             Op::BcastRecv { op, root, expect } => {
-                mix(mix(mix(mix(h, 6), op), root as u64), expect.map_or(u64::MAX, |e| e as u64))
+                mix(mix(mix(mix(h, 6), op.into()), root.into()), expect as u64)
             }
-            Op::GatherRoot { op, count } => mix(mix(mix(h, 7), op), count as u64),
+            Op::BcastRecvDerived { op, root } => mix(mix(mix(h, 13), op.into()), root.into()),
+            Op::GatherRoot { op, count } => mix(mix(mix(h, 7), op.into()), count as u64),
             Op::GatherLeaf { op, root, count } => {
-                mix(mix(mix(mix(h, 8), op), root as u64), count as u64)
+                mix(mix(mix(mix(h, 8), op.into()), root.into()), count as u64)
             }
-            Op::BcastRootDerived { op } => mix(mix(h, 9), op),
+            Op::BcastRootDerived { op } => mix(mix(h, 9), op.into()),
             Op::Checkpoint { bytes } => mix(mix(h, 10), bytes),
             Op::Detect { secs } => mix(mix(h, 11), secs.to_bits()),
             Op::Recover { lost_flops, moved_bytes } => {
@@ -1111,23 +1288,80 @@ impl<R> SpmdProgram<R> {
     where
         R: Clone,
     {
-        if analytic_enabled() {
-            match self.lockstep_result() {
-                Ok(plan) => {
-                    return self.replay_analytic(plan, cluster, network, self.results.clone())
-                }
-                Err(reason) => telemetry::record_fallback(*reason),
-            }
-            return self.replay(
-                cluster,
-                network,
-                false,
-                None,
-                EventDrivenMode::Fallback,
-                self.results.clone(),
+        self.price(cluster, network, PriceSpec::default())
+    }
+
+    /// Prices the recording as `spec` asks — under runtime faults,
+    /// traced, and with local ops spliced in — bit-identical to
+    /// recording the spliced body and running it through the matching
+    /// `run_spmd_fast*` entry point.
+    ///
+    /// Every untraced run of a lockstep recording (plain, faulted or
+    /// spliced) is evaluated analytically on the recording's cached
+    /// phase plan, unless disabled via [`set_analytic_enabled`]. Traced
+    /// runs, `--no-analytic` and rejected shapes take the event-driven
+    /// scheduler, which replays the op lists [`splice`](Self::splice)
+    /// materializes.
+    ///
+    /// # Panics
+    /// Panics if the fault plan declares node deaths (resolve them
+    /// first via [`FaultPlan::surviving_cluster`] /
+    /// [`FaultPlan::for_survivors`]), when a send exhausts its retry
+    /// budget, and on inserts that do not fit the recording (see
+    /// [`LocalInserts`]).
+    pub fn price<N: NetworkModel>(
+        &self,
+        cluster: &ClusterSpec,
+        network: &N,
+        spec: PriceSpec<'_>,
+    ) -> SpmdOutcome<R>
+    where
+        R: Clone,
+    {
+        self.price_into(cluster, network, spec, self.results.clone())
+    }
+
+    /// [`price`](Self::price) with the caller's `results` (the record
+    /// phase's returns, moved rather than cloned).
+    fn price_into<N: NetworkModel, Q>(
+        &self,
+        cluster: &ClusterSpec,
+        network: &N,
+        spec: PriceSpec<'_>,
+        results: Vec<Q>,
+    ) -> SpmdOutcome<Q> {
+        if let Some(plan) = spec.faults {
+            assert!(
+                plan.deaths().is_empty(),
+                "node deaths must be resolved before launch (surviving_cluster/for_survivors)"
             );
         }
-        self.replay(cluster, network, false, None, EventDrivenMode::Forced, self.results.clone())
+        let mode = if !spec.tracing && analytic_enabled() {
+            match self.lockstep_result() {
+                Ok(plan) => return self.replay_analytic(plan, cluster, network, spec, results),
+                Err(reason) => {
+                    telemetry::record_fallback(*reason);
+                    EventDrivenMode::Fallback
+                }
+            }
+        } else if spec.faults.is_some() {
+            EventDrivenMode::Faulted
+        } else if spec.tracing {
+            EventDrivenMode::Traced
+        } else {
+            EventDrivenMode::Forced
+        };
+        match spec.inserts {
+            Some(inserts) => self.spliced_ops::<()>(inserts).replay(
+                cluster,
+                network,
+                spec.tracing,
+                spec.faults,
+                mode,
+                results,
+            ),
+            None => self.replay(cluster, network, spec.tracing, spec.faults, mode, results),
+        }
     }
 
     /// [`simulate`](Self::simulate), forced onto the event-driven
@@ -1158,47 +1392,119 @@ impl<R> SpmdProgram<R> {
         R: Clone,
     {
         let plan = self.lockstep_plan()?;
-        Some(self.replay_analytic(plan, cluster, network, self.results.clone()))
+        Some(self.replay_analytic(
+            plan,
+            cluster,
+            network,
+            PriceSpec::default(),
+            self.results.clone(),
+        ))
     }
 
-    fn replay_analytic<N: NetworkModel>(
+    /// The recording with `inserts` spliced into its op lists (ranks
+    /// sharing a class and an insert list share one spliced list): the
+    /// program the event-driven path replays for a spliced
+    /// [`price`](Self::price), and the reference the lockstep
+    /// evaluator's in-place splicing is pinned to.
+    ///
+    /// # Panics
+    /// Panics on inserts that do not fit the recording (see
+    /// [`LocalInserts`]).
+    pub fn splice(&self, inserts: &LocalInserts) -> SpmdProgram<R>
+    where
+        R: Clone,
+    {
+        SpmdProgram { results: self.results.clone(), ..self.spliced_ops(inserts) }
+    }
+
+    /// [`splice`](Self::splice) without the record-phase results.
+    fn spliced_ops<Q>(&self, inserts: &LocalInserts) -> SpmdProgram<Q> {
+        let p = self.p;
+        assert_eq!(inserts.ranks.len(), p, "inserts sized for a different rank count");
+        let mut classes = Vec::new();
+        let mut class_collectives = Vec::new();
+        let mut class_of = Vec::with_capacity(p);
+        // Per clean class: (representative rank, spliced class).
+        let mut spliced: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
+        for (r, list) in inserts.ranks.iter().enumerate() {
+            let c = self.class_of[r];
+            let bucket = spliced.entry(c).or_default();
+            match bucket.iter().find(|&&(rep, _)| inserts.ranks[rep] == *list) {
+                Some(&(_, sc)) => class_of.push(sc),
+                None => {
+                    let sc = classes.len();
+                    classes.push(splice_ops(&self.classes[c], list));
+                    class_collectives.push(self.class_collectives[c]);
+                    bucket.push((r, sc));
+                    class_of.push(sc);
+                }
+            }
+        }
+        SpmdProgram {
+            p,
+            results: Vec::new(),
+            classes,
+            class_collectives,
+            class_of,
+            lockstep: OnceLock::new(),
+        }
+    }
+
+    /// Whether every rank's op list equals its list in `other`, op for
+    /// op (results and class sharing aside) — how equivalence tests
+    /// compare a [`splice`](Self::splice) with a directly recorded body.
+    pub fn same_ops<Q>(&self, other: &SpmdProgram<Q>) -> bool {
+        self.p == other.p
+            && (0..self.p)
+                .all(|r| self.classes[self.class_of[r]] == other.classes[other.class_of[r]])
+    }
+
+    fn replay_analytic<N: NetworkModel, Q>(
         &self,
         plan: &LockstepProgram,
         cluster: &ClusterSpec,
         network: &N,
-        results: Vec<R>,
-    ) -> SpmdOutcome<R> {
+        spec: PriceSpec<'_>,
+        results: Vec<Q>,
+    ) -> SpmdOutcome<Q> {
         assert_eq!(
             cluster.size(),
             self.p,
             "cluster size disagrees with the recording's rank count"
         );
         let simulate_started = std::time::Instant::now();
-        let ranks = plan.evaluate(cluster, network, &self.classes, &self.class_of);
+        let ranks = plan.evaluate(
+            cluster,
+            network,
+            &self.classes,
+            &self.class_of,
+            spec.faults,
+            spec.inserts,
+        );
         telemetry::add_simulate_wall_ns(simulate_started.elapsed().as_nanos() as u64);
         let mut report =
             EngineReport::new(EnginePath::Analytic, self.p as u64, self.classes.len() as u64);
         report.collective_events = plan.collective_ops;
         report.p2p_events = plan.p2p_ops;
+        add_retries(&mut report, &ranks);
         telemetry::record_simulation(&report);
         outcome_from_ranks(ranks, results)
     }
 
-    fn replay<N: NetworkModel>(
+    fn replay<N: NetworkModel, Q>(
         &self,
         cluster: &ClusterSpec,
         network: &N,
         tracing: bool,
         faults: Option<&FaultPlan>,
         mode: EventDrivenMode,
-        results: Vec<R>,
-    ) -> SpmdOutcome<R> {
+        results: Vec<Q>,
+    ) -> SpmdOutcome<Q> {
         let p = self.p;
         assert_eq!(cluster.size(), p, "cluster size disagrees with the recording's rank count");
         let simulate_started = std::time::Instant::now();
 
-        let mut ranks: Vec<SimRank> =
-            (0..p).map(|id| SimRank::new(id, cluster, faults.is_some())).collect();
+        let mut ranks: Vec<SimRank> = (0..p).map(|id| SimRank::new(id, cluster, faults)).collect();
         if tracing {
             // Presize each trace for the common case of at most two
             // records per op (a Wait plus the op itself); fault-path
@@ -1253,12 +1559,9 @@ impl<R> SpmdProgram<R> {
                 match shared.exec(&mut ranks[r], &ops[pc]) {
                     Step::Progress => {
                         match ops[pc] {
-                            // Recovery ops are local like compute:
-                            // neither p2p nor collective events.
-                            Op::Compute { .. }
-                            | Op::Checkpoint { .. }
-                            | Op::Detect { .. }
-                            | Op::Recover { .. } => {}
+                            // Local ops are neither p2p nor collective
+                            // events.
+                            ref op if op.is_local() => {}
                             Op::Send { .. } | Op::Recv { .. } => p2p_events += 1,
                             _ => collective_events += 1,
                         }
@@ -1301,14 +1604,19 @@ impl<R> SpmdProgram<R> {
         report.wakes = wakes;
         report.p2p_events = p2p_events;
         report.collective_events = collective_events;
-        for rank in &ranks {
-            report.retry_events += rank.retry_events;
-            report.retry_attempts += rank.retry_attempts;
-            report.retry_charge_us += rank.retry_us;
-        }
+        add_retries(&mut report, &ranks);
         telemetry::record_simulation(&report);
 
         outcome_from_ranks(ranks, results)
+    }
+}
+
+/// Folds the ranks' retry telemetry into `report`.
+fn add_retries(report: &mut EngineReport, ranks: &[SimRank]) {
+    for rank in ranks {
+        report.retry_events += rank.retry_events;
+        report.retry_attempts += rank.retry_attempts;
+        report.retry_charge_us += rank.retry_us;
     }
 }
 
@@ -1344,24 +1652,7 @@ where
 {
     let mut program = record_spmd(cluster, body);
     let results = std::mem::take(&mut program.results);
-    // Traces and fault plans (retry charges, degraded-speed windows)
-    // keep the event-driven scheduler, whose generality they need.
-    let mode = if faults.is_some() {
-        EventDrivenMode::Faulted
-    } else if tracing {
-        EventDrivenMode::Traced
-    } else if !analytic_enabled() {
-        EventDrivenMode::Forced
-    } else {
-        match program.lockstep_result() {
-            Ok(plan) => return program.replay_analytic(plan, cluster, network, results),
-            Err(reason) => {
-                telemetry::record_fallback(*reason);
-                EventDrivenMode::Fallback
-            }
-        }
-    };
-    program.replay(cluster, network, tracing, faults, mode, results)
+    program.price_into(cluster, network, PriceSpec { faults, tracing, inserts: None }, results)
 }
 
 /// Runs `body` through the fast-path engine: same clocks, overhead
@@ -1409,10 +1700,6 @@ where
     F: Fn(&mut RecordTimer) -> R,
     N: NetworkModel,
 {
-    assert!(
-        plan.deaths().is_empty(),
-        "node deaths must be resolved before launch (surviving_cluster/for_survivors)"
-    );
     run_spmd_fast_inner(cluster, network, body, false, Some(plan))
 }
 
@@ -1427,10 +1714,6 @@ where
     F: Fn(&mut RecordTimer) -> R,
     N: NetworkModel,
 {
-    assert!(
-        plan.deaths().is_empty(),
-        "node deaths must be resolved before launch (surviving_cluster/for_survivors)"
-    );
     run_spmd_fast_inner(cluster, network, body, true, Some(plan))
 }
 
@@ -1768,23 +2051,195 @@ mod tests {
     }
 
     #[test]
-    fn recovery_ops_reject_the_lockstep_analyzer_with_a_typed_reason() {
+    fn recovery_ops_are_lockstep_and_reject_only_the_aggregator() {
         let cluster = het3();
         let net = MpichEthernet::new(0.2e-3, 1e8);
         let program: SpmdProgram<()> = record_spmd(&cluster, recovery_body);
-        assert!(!program.is_lockstep(), "recovery ops have no lockstep phase grammar");
-        assert_eq!(program.fallback_reason(), Some(FallbackReason::RecoveryOps));
-        assert!(program.simulate_analytic(&cluster, &net).is_none());
-        // The auto-selecting path still prices it via fallback, matching
-        // the scheduler and the threaded oracle exactly.
-        let auto = program.simulate(&cluster, &net);
+        assert!(program.is_lockstep(), "recovery ops are local runs of the lockstep grammar");
+        assert_eq!(program.fallback_reason(), None);
+        let analytic = program.simulate_analytic(&cluster, &net).expect("lockstep");
         let event = program.simulate_event_driven(&cluster, &net);
-        assert_eq!(auto.times, event.times);
-        assert_eq!(auto.comm_times, event.comm_times);
+        assert_outcomes_match(&analytic, &event);
         let threaded = crate::runtime::run_spmd(&cluster, &net, |r| recovery_body(r));
-        assert_eq!(auto.times, threaded.times);
-        assert_eq!(auto.comm_times, threaded.comm_times);
-        assert_eq!(auto.wait_times, threaded.wait_times);
+        assert_outcomes_match(&analytic, &threaded);
+        // The class aggregator has no class form for recovery charges.
+        assert_eq!(program.aggregate_plan(&cluster).err(), Some(FallbackReason::RecoveryOps));
+    }
+
+    /// Rank 0 computes, sends to 1 and computes again; rank 1 receives;
+    /// rank 2 only computes — so rank 2's run before the barrier sits
+    /// in the local phase *before* the p2p batch, rank 0's second run
+    /// in the one after it, and rank 1's run before the barrier is
+    /// empty. `spliced` records the ops [`three_way_inserts`] splices.
+    fn three_way_body<T: SpmdTimer>(t: &mut T, spliced: bool) {
+        let me = t.rank();
+        t.compute_flops(1e5 * (me + 1) as f64);
+        match me {
+            0 => {
+                t.send_count(1, Tag(2), 9);
+                if spliced {
+                    t.checkpoint(4096);
+                }
+                t.compute_flops(7e4);
+                if spliced {
+                    t.detect_failure(0.01);
+                }
+            }
+            1 => {
+                t.recv_count(0, Tag(2), 9);
+                if spliced {
+                    t.recover(3e4, 512);
+                }
+            }
+            _ => {
+                if spliced {
+                    t.checkpoint(2048);
+                }
+            }
+        }
+        t.barrier();
+        t.compute_flops(5e4);
+        if spliced && me == 2 {
+            t.recover(1e4, 0);
+        }
+    }
+
+    fn three_way_inserts() -> LocalInserts {
+        let mut ins = LocalInserts::new(3);
+        ins.checkpoint(0, 0, 0, 4096);
+        ins.detect_failure(0, 0, 1, 0.01);
+        ins.recover(1, 0, 0, 3e4, 512);
+        ins.checkpoint(2, 0, 1, 2048);
+        ins.recover(2, 1, 1, 1e4, 0);
+        ins
+    }
+
+    #[test]
+    fn splice_materializes_the_recorded_spliced_body() {
+        let cluster = het3();
+        let clean = record_spmd(&cluster, |t| three_way_body(t, false));
+        let direct = record_spmd(&cluster, |t| three_way_body(t, true));
+        let spliced: SpmdProgram<()> = clean.splice(&three_way_inserts());
+        assert!(spliced.same_ops(&direct));
+        assert!(!clean.same_ops(&direct));
+        assert!(clean.splice(&LocalInserts::new(3)).same_ops(&clean));
+    }
+
+    #[test]
+    fn spliced_pricing_matches_event_replay_and_the_threaded_oracle() {
+        let cluster = het3();
+        let net = SharedEthernet::new(0.3e-3, 1.25e7);
+        let clean = record_spmd(&cluster, |t| three_way_body(t, false));
+        assert!(clean.is_lockstep());
+        let ins = three_way_inserts();
+        let plan = FaultPlan::new(5).with_straggler(0, 0.5).with_link_drops(300);
+        for faults in [None, Some(&plan)] {
+            let spec = PriceSpec { faults, tracing: false, inserts: Some(&ins) };
+            let analytic = clean.price(&cluster, &net, spec);
+            let traced = clean.price(&cluster, &net, PriceSpec { tracing: true, ..spec });
+            let threaded = match faults {
+                None => run_spmd_traced(&cluster, &net, |r| three_way_body(r, true)),
+                Some(plan) => {
+                    run_spmd_faulted_traced(&cluster, &net, plan, |r| three_way_body(r, true))
+                }
+            };
+            assert_outcomes_match(&traced, &threaded);
+            assert_eq!(analytic.times, threaded.times, "clocks");
+            assert_eq!(analytic.compute_times, threaded.compute_times, "compute");
+            assert_eq!(analytic.comm_times, threaded.comm_times, "comm");
+            assert_eq!(analytic.wait_times, threaded.wait_times, "wait");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "insert offset past the end of its local run")]
+    fn analytic_splice_rejects_an_offset_past_its_run() {
+        let cluster = het3();
+        let clean = record_spmd(&cluster, |t| three_way_body(t, false));
+        let mut ins = LocalInserts::new(3);
+        // Rank 1's run before the barrier is empty.
+        ins.checkpoint(1, 0, 1, 8);
+        let spec = PriceSpec { inserts: Some(&ins), ..PriceSpec::default() };
+        let _ = clean.price(&cluster, &ConstantLatency::new(1e-3), spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "insert offset past the end of its local run")]
+    fn materialized_splice_rejects_an_offset_past_its_run() {
+        let cluster = het3();
+        let clean = record_spmd(&cluster, |t| three_way_body(t, false));
+        let mut ins = LocalInserts::new(3);
+        ins.checkpoint(1, 0, 1, 8);
+        let _ = clean.splice(&ins);
+    }
+
+    #[test]
+    #[should_panic(expected = "insert names a collective past the program's last")]
+    fn analytic_splice_rejects_a_collective_past_the_end() {
+        let cluster = het3();
+        let clean = record_spmd(&cluster, |t| three_way_body(t, false));
+        let mut ins = LocalInserts::new(3);
+        ins.checkpoint(2, 2, 0, 8);
+        let spec = PriceSpec { inserts: Some(&ins), ..PriceSpec::default() };
+        let _ = clean.price(&cluster, &ConstantLatency::new(1e-3), spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "insert names a collective past the program's last")]
+    fn materialized_splice_rejects_a_collective_past_the_end() {
+        let cluster = het3();
+        let clean = record_spmd(&cluster, |t| three_way_body(t, false));
+        let mut ins = LocalInserts::new(3);
+        ins.checkpoint(2, 2, 0, 8);
+        let _ = clean.splice(&ins);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-decreasing position order")]
+    fn inserts_must_come_in_position_order() {
+        let mut ins = LocalInserts::new(2);
+        ins.checkpoint(0, 3, 0, 8);
+        ins.checkpoint(0, 2, 5, 8);
+    }
+
+    #[test]
+    fn faulted_lockstep_runs_price_analytically_and_match_event_replay() {
+        let cluster = het3();
+        let net = SharedEthernet::new(0.3e-3, 1.25e7);
+        let plan = FaultPlan::new(7).with_straggler(1, 0.4).with_link_drops(250);
+        let program: SpmdProgram<()> = record_spmd(&cluster, mixed_body);
+        let spec = PriceSpec { faults: Some(&plan), ..PriceSpec::default() };
+        let before = telemetry::snapshot();
+        let analytic = program.price(&cluster, &net, spec);
+        let after = telemetry::snapshot();
+        assert!(after.analytic_sims > before.analytic_sims, "untraced faulted runs are analytic");
+        let traced = program.price(&cluster, &net, PriceSpec { tracing: true, ..spec });
+        assert_eq!(analytic.times, traced.times, "clocks");
+        assert_eq!(analytic.compute_times, traced.compute_times, "compute");
+        assert_eq!(analytic.comm_times, traced.comm_times, "comm");
+        assert_eq!(analytic.wait_times, traced.wait_times, "wait");
+    }
+
+    /// Every rank names the broadcast size it expects; rank 1 is wrong.
+    fn bcast_mismatch_body<T: SpmdTimer>(t: &mut T) {
+        let count = if t.rank() == 1 { 5 } else { 4 };
+        t.broadcast_count(0, count);
+    }
+
+    #[test]
+    #[should_panic(expected = "broadcast_count: size disagrees with the root")]
+    fn event_engine_rejects_a_broadcast_size_mismatch() {
+        let cluster = het3();
+        let program: SpmdProgram<()> = record_spmd(&cluster, bcast_mismatch_body);
+        assert_eq!(program.fallback_reason(), Some(FallbackReason::CollectiveSizeMismatch));
+        let _ = program.simulate(&cluster, &ConstantLatency::new(1e-3));
+    }
+
+    #[test]
+    #[should_panic(expected = "broadcast_count: size disagrees with the root")]
+    fn threaded_runtime_rejects_a_broadcast_size_mismatch() {
+        let cluster = het3();
+        crate::runtime::run_spmd(&cluster, &ConstantLatency::new(1e-3), |r| bcast_mismatch_body(r));
     }
 
     #[test]

@@ -84,7 +84,8 @@ pub use context::Rank;
 pub use engine::{
     analytic_enabled, record_spmd, run_spmd_fast, run_spmd_fast_faulted,
     run_spmd_fast_faulted_traced, run_spmd_fast_traced, set_analytic_enabled, AggregateOutcome,
-    AggregatePlan, AggregatePlanBuilder, RecordTimer, SpmdProgram, SpmdTimer,
+    AggregatePlan, AggregatePlanBuilder, LocalInserts, PriceSpec, RecordTimer, SpmdProgram,
+    SpmdTimer,
 };
 pub use message::Tag;
 pub use runtime::{

@@ -58,8 +58,9 @@ pub enum FallbackReason {
     /// A receive waits on a message no send in this phase produces.
     RecvBeforeSend,
     /// The program charges failure-recovery ops (checkpoint, detector
-    /// timeout, recover); the lockstep phase grammar has no word for
-    /// them, so recovery programs always price event-driven.
+    /// timeout, recover). The lockstep grammar absorbs them into its
+    /// local runs, but the class aggregator (DESIGN.md §13) has no class
+    /// form for them.
     RecoveryOps,
     /// A point-to-point batch is not a single-hub scatter — the only
     /// p2p shape the class aggregator (DESIGN.md §13) can fold.
@@ -155,7 +156,7 @@ impl fmt::Display for FallbackReason {
                 "a receive waits on a message only sent in a later phase"
             }
             FallbackReason::RecoveryOps => {
-                "the program charges failure-recovery ops the lockstep grammar cannot express"
+                "the program charges failure-recovery ops the class aggregator cannot fold"
             }
             FallbackReason::AsymmetricP2p => {
                 "a point-to-point batch is not the single-hub scatter the aggregator folds"
@@ -184,7 +185,8 @@ pub enum EventDrivenMode {
     Forced,
     /// Tracing was requested; traced runs keep the scheduler.
     Traced,
-    /// A fault plan was active; faulted runs keep the scheduler.
+    /// A fault plan was active on a traced or `--no-analytic` run
+    /// (untraced faulted lockstep runs price analytically).
     Faulted,
 }
 

@@ -99,7 +99,7 @@ impl TelemetryReport {
         self.engine.aggregated_rank_percent()
     }
 
-    /// Serializes to the stats document (schema `hetscale-telemetry/2`).
+    /// Serializes to the stats document (schema `hetscale-telemetry/3`).
     pub fn to_json(&self) -> Json {
         let e = &self.engine;
         let closed_form = e
@@ -193,7 +193,7 @@ impl TelemetryReport {
             ("engine", engine),
             ("memo", Json::Obj(memo)),
             ("pool", pool),
-            ("schema", Json::str("hetscale-telemetry/2")),
+            ("schema", Json::str("hetscale-telemetry/3")),
             ("summary", summary),
         ])
     }
@@ -254,7 +254,7 @@ mod tests {
         let text = report.to_json().to_string();
         let parsed = Json::parse(&text).expect("self-produced JSON parses");
         let doc = parsed.as_obj().expect("top level is an object");
-        assert_eq!(doc["schema"].as_str(), Some("hetscale-telemetry/2"));
+        assert_eq!(doc["schema"].as_str(), Some("hetscale-telemetry/3"));
         let engine = doc["engine"].as_obj().expect("engine object");
         let paths = engine["paths"].as_obj().expect("paths object");
         assert_eq!(paths["analytic_sims"].as_num(), Some(2.0));

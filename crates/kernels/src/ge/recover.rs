@@ -10,6 +10,10 @@
 //!   (`Checkpoint` spans); at the death iteration every rank charges the
 //!   failure-detector timeout (`Detect`) and replays its own work since
 //!   the last checkpoint (`LostWork`), then the run continues unchanged.
+//!   These charges sit at iteration heads — right before iteration
+//!   `i`'s pivot broadcast, collective `2i` — so the run is the clean
+//!   [`ge_timed_body`] recording with them spliced in
+//!   ([`CheckpointRecording`]).
 //! - **Shrink-and-rebalance** drops the dead rank. The run is composed
 //!   from two segments: iterations `[0, k)` on the full cluster, then —
 //!   after the survivors detect the death, replay the dead rank's
@@ -23,15 +27,18 @@
 //! estimate in [`crate::recover`], never the simulated clock), so the
 //! fast engine, the event-driven scheduler, and the threaded oracle all
 //! price the identical program and results stay byte-stable across
-//! runs, `--jobs`, and `--no-analytic`. On the plain fast path the
-//! lockstep analyzer sees the recovery ops and records its typed
-//! `recovery-ops` fallback.
+//! runs, `--jobs`, and `--no-analytic`. Untraced runs — plain,
+//! faulted, or with spliced checkpoint charges — price on the lockstep
+//! evaluator, whose local runs absorb the recovery ops; traced runs and
+//! `--no-analytic` replay the same programs on the event-driven
+//! scheduler.
 
 use crate::analytic::elimination_flops;
 use crate::ge::timed::{ge_timed_body, TimingOutcome};
 use crate::recover::{
-    checkpoint_stride, compose_segments, compose_traces, death_iteration, run_recoverable,
-    survivor_shares, DeathEvent, RecoveryOutcome, RecoveryOverhead,
+    checkpoint_stride, compose_segments, compose_traces, death_iteration, price_recoverable,
+    run_recoverable, survivor_shares, CheckpointRecording, CleanShape, DeathEvent, RecoveryOutcome,
+    RecoveryOverhead,
 };
 use crate::workload::ge_work;
 use hetpart::{repartition_after_deaths, CyclicDistribution, Distribution};
@@ -41,7 +48,7 @@ use hetsim_cluster::faults::{
 };
 use hetsim_cluster::network::NetworkModel;
 use hetsim_mpi::trace::RankTrace;
-use hetsim_mpi::SpmdTimer;
+use hetsim_mpi::{record_spmd, LocalInserts, SpmdTimer};
 
 /// Bytes of one checkpointed augmented-matrix row: `n + 1` doubles.
 fn row_bytes(n: usize) -> u64 {
@@ -64,55 +71,86 @@ fn ge_elim_flops_range(rows: &[usize], n: usize, lo: usize, hi: usize) -> f64 {
     flops
 }
 
-/// The checkpoint/restart elimination body: the baseline skeleton with
-/// checkpoint, detect, and lost-work charges injected at iteration
-/// heads. With no death and a stride past the last iteration it records
-/// exactly the baseline op stream.
-#[allow(clippy::too_many_arguments)]
-fn ge_ckpt_body<T: SpmdTimer>(
-    rank: &mut T,
-    dist: &CyclicDistribution,
-    n: usize,
+/// The checkpoint/restart charges of one run: at the head of iteration
+/// `i` (collective `2i`, its pivot broadcast) a checkpoint when
+/// `i > 0 && i % stride == 0`, then — at the death iteration — the
+/// detector timeout and each rank's lost-work replay. With no death and
+/// a stride past the last iteration there are none, and the run is the
+/// baseline.
+fn ge_checkpoint_inserts(
+    p: usize,
+    iters: usize,
     stride: usize,
     death_iter: Option<usize>,
     lost_flops: &[f64],
     ckpt_bytes: &[u64],
-) {
-    let me = rank.rank();
-    let p = rank.size();
-    let my_rows = dist.rows_of(me);
-
-    if me == 0 {
-        for peer in 1..p {
-            let count = dist.rows_of(peer).len() * (n + 1);
-            rank.send_count(peer, hetsim_mpi::Tag::DATA, count);
-        }
-    } else {
-        rank.recv_count(0, hetsim_mpi::Tag::DATA, my_rows.len() * (n + 1));
-    }
-
-    let mut below_idx = 0usize;
-    for i in 0..n.saturating_sub(1) {
+) -> LocalInserts {
+    let mut inserts = LocalInserts::new(p);
+    for i in 0..iters {
+        let head = 2 * i as u64;
         if i > 0 && i % stride == 0 {
-            rank.checkpoint(ckpt_bytes[me]);
+            for (r, &bytes) in ckpt_bytes.iter().enumerate() {
+                inserts.checkpoint(r, head, 0, bytes);
+            }
         }
         if death_iter == Some(i) {
-            rank.detect_failure(DETECT_TIMEOUT_SECS);
-            rank.recover(lost_flops[me], 0);
+            for (r, &lost) in lost_flops.iter().enumerate() {
+                inserts.detect_failure(r, head, 0, DETECT_TIMEOUT_SECS);
+                inserts.recover(r, head, 0, lost, 0);
+            }
         }
-        let owner = dist.owner(i);
-        rank.broadcast_count(owner, n - i + 1);
-        while below_idx < my_rows.len() && my_rows[below_idx] <= i {
-            below_idx += 1;
-        }
-        rank.compute_flops((my_rows.len() - below_idx) as f64 * elimination_flops(n - i));
-        rank.barrier();
     }
+    inserts
+}
 
-    rank.gather_count(0, my_rows.len() * (n + 1));
-    if me == 0 {
-        rank.compute_flops((n * n) as f64);
-    }
+/// Records the clean [`ge_timed_body`] a GE [`CheckpointRecording`]
+/// splices its charges into.
+pub(crate) fn record_clean(cluster: &ClusterSpec, n: usize) -> CheckpointRecording {
+    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+    let dist = CyclicDistribution::fine(n, &speeds);
+    let program = record_spmd(cluster, |t| ge_timed_body(t, &dist, n));
+    CheckpointRecording { cluster: cluster.clone(), n, shape: CleanShape::Ge(dist), program }
+}
+
+/// One checkpoint/restart run priced from the shared clean recording.
+pub(crate) fn ge_checkpoint<N: NetworkModel>(
+    recording: &CheckpointRecording,
+    dist: &CyclicDistribution,
+    network: &N,
+    plan: &FaultPlan,
+    interval_secs: f64,
+    tracing: bool,
+) -> (RecoveryOutcome, Vec<RankTrace>) {
+    let CheckpointRecording { cluster, n, program, .. } = recording;
+    let (n, p) = (*n, cluster.size());
+    let iters = n.saturating_sub(1);
+    let total_flops = ge_work(n);
+    let death = death_iteration(plan, cluster, iters, total_flops);
+    let stride = checkpoint_stride(interval_secs, cluster, iters, total_flops);
+    let ckpt_bytes: Vec<u64> =
+        (0..p).map(|r| dist.rows_of(r).len() as u64 * row_bytes(n)).collect();
+    let lost_flops: Vec<f64> = match death {
+        Some(ev) => {
+            let c = (ev.iteration / stride) * stride;
+            (0..p).map(|r| ge_elim_flops_range(&dist.rows_of(r), n, c, ev.iteration)).collect()
+        }
+        None => vec![0.0; p],
+    };
+    let death_iter = death.map(|ev| ev.iteration);
+    let inserts = ge_checkpoint_inserts(p, iters, stride, death_iter, &lost_flops, &ckpt_bytes);
+    let mut outcome = price_recoverable(program, cluster, network, plan, tracing, Some(&inserts));
+    let traces = std::mem::take(&mut outcome.traces);
+
+    let speed_flops = cluster.nodes().iter().map(|nd| nd.marked_speed_flops());
+    let num_ckpts = if iters > 1 { (iters - 1) / stride } else { 0 };
+    let overhead = RecoveryOverhead {
+        checkpoint_secs: num_ckpts as f64
+            * ckpt_bytes.iter().map(|&b| checkpoint_cost_secs(b)).sum::<f64>(),
+        detect_secs: if death.is_some() { p as f64 * DETECT_TIMEOUT_SECS } else { 0.0 },
+        lost_work_secs: lost_flops.iter().zip(speed_flops).map(|(&l, s)| l / s).sum(),
+        rebalance_secs: 0.0,
+    };
+    (RecoveryOutcome { timing: TimingOutcome::from_spmd(outcome), overhead, death }, traces)
 }
 
 /// Shrink-rebalance segment A: stage 1 plus elimination iterations
@@ -211,61 +249,32 @@ fn ge_recoverable<N: NetworkModel>(
     n: usize,
     tracing: bool,
 ) -> (RecoveryOutcome, Vec<RankTrace>) {
-    let p = cluster.size();
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let speed_flops: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_flops()).collect();
-    let dist = CyclicDistribution::fine(n, &speeds);
-    let iters = n.saturating_sub(1);
-    let total_flops = ge_work(n);
-    let death = death_iteration(plan, cluster, iters, total_flops);
-
     match policy {
         RecoveryPolicy::CheckpointRestart { interval_secs } => {
-            let stride = checkpoint_stride(interval_secs, cluster, iters, total_flops);
-            let ckpt_bytes: Vec<u64> =
-                (0..p).map(|r| dist.rows_of(r).len() as u64 * row_bytes(n)).collect();
-            let lost_flops: Vec<f64> = match death {
-                Some(ev) => {
-                    let c = (ev.iteration / stride) * stride;
-                    (0..p)
-                        .map(|r| ge_elim_flops_range(&dist.rows_of(r), n, c, ev.iteration))
-                        .collect()
-                }
-                None => vec![0.0; p],
-            };
-            let death_iter = death.map(|ev| ev.iteration);
-            let mut outcome = run_recoverable(cluster, network, plan, tracing, |t| {
-                ge_ckpt_body(t, &dist, n, stride, death_iter, &lost_flops, &ckpt_bytes)
-            });
-            let traces = std::mem::take(&mut outcome.traces);
-
-            let num_ckpts = if iters > 1 { (iters - 1) / stride } else { 0 };
-            let overhead = RecoveryOverhead {
-                checkpoint_secs: num_ckpts as f64
-                    * ckpt_bytes.iter().map(|&b| checkpoint_cost_secs(b)).sum::<f64>(),
-                detect_secs: if death.is_some() { p as f64 * DETECT_TIMEOUT_SECS } else { 0.0 },
-                lost_work_secs: lost_flops.iter().zip(&speed_flops).map(|(&l, &s)| l / s).sum(),
-                rebalance_secs: 0.0,
-            };
-            (RecoveryOutcome { timing: TimingOutcome::from_spmd(outcome), overhead, death }, traces)
+            record_clean(cluster, n).price(network, plan, interval_secs, tracing)
         }
-        RecoveryPolicy::ShrinkRebalance => match death {
-            None => {
-                let mut outcome = run_recoverable(cluster, network, plan, tracing, |t| {
-                    ge_timed_body(t, &dist, n)
-                });
-                let traces = std::mem::take(&mut outcome.traces);
-                (
-                    RecoveryOutcome {
-                        timing: TimingOutcome::from_spmd(outcome),
-                        overhead: RecoveryOverhead::default(),
-                        death: None,
-                    },
-                    traces,
-                )
+        RecoveryPolicy::ShrinkRebalance => {
+            let speeds: Vec<f64> =
+                cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+            let dist = CyclicDistribution::fine(n, &speeds);
+            match death_iteration(plan, cluster, n.saturating_sub(1), ge_work(n)) {
+                None => {
+                    let mut outcome = run_recoverable(cluster, network, plan, tracing, |t| {
+                        ge_timed_body(t, &dist, n)
+                    });
+                    let traces = std::mem::take(&mut outcome.traces);
+                    (
+                        RecoveryOutcome {
+                            timing: TimingOutcome::from_spmd(outcome),
+                            overhead: RecoveryOverhead::default(),
+                            death: None,
+                        },
+                        traces,
+                    )
+                }
+                Some(ev) => ge_shrink(cluster, network, plan, n, &dist, ev, tracing),
             }
-            Some(ev) => ge_shrink(cluster, network, plan, n, &dist, ev, tracing),
-        },
+        }
     }
 }
 
@@ -330,7 +339,160 @@ mod tests {
     use crate::ge::ge_parallel_timed;
     use hetsim_cluster::network::SharedEthernet;
     use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::run_spmd;
+    use hetsim_mpi::{run_spmd, PriceSpec};
+
+    /// The explicit checkpoint/restart body the spliced recording
+    /// replaced — kept as the reference the splice is pinned to: the
+    /// baseline skeleton with checkpoint, detect, and lost-work charges
+    /// written in at iteration heads.
+    #[allow(clippy::too_many_arguments)]
+    fn ge_ckpt_body<T: SpmdTimer>(
+        rank: &mut T,
+        dist: &CyclicDistribution,
+        n: usize,
+        stride: usize,
+        death_iter: Option<usize>,
+        lost_flops: &[f64],
+        ckpt_bytes: &[u64],
+    ) {
+        let me = rank.rank();
+        let p = rank.size();
+        let my_rows = dist.rows_of(me);
+
+        if me == 0 {
+            for peer in 1..p {
+                let count = dist.rows_of(peer).len() * (n + 1);
+                rank.send_count(peer, hetsim_mpi::Tag::DATA, count);
+            }
+        } else {
+            rank.recv_count(0, hetsim_mpi::Tag::DATA, my_rows.len() * (n + 1));
+        }
+
+        let mut below_idx = 0usize;
+        for i in 0..n.saturating_sub(1) {
+            if i > 0 && i % stride == 0 {
+                rank.checkpoint(ckpt_bytes[me]);
+            }
+            if death_iter == Some(i) {
+                rank.detect_failure(DETECT_TIMEOUT_SECS);
+                rank.recover(lost_flops[me], 0);
+            }
+            let owner = dist.owner(i);
+            rank.broadcast_count(owner, n - i + 1);
+            while below_idx < my_rows.len() && my_rows[below_idx] <= i {
+                below_idx += 1;
+            }
+            rank.compute_flops((my_rows.len() - below_idx) as f64 * elimination_flops(n - i));
+            rank.barrier();
+        }
+
+        rank.gather_count(0, my_rows.len() * (n + 1));
+        if me == 0 {
+            rank.compute_flops((n * n) as f64);
+        }
+    }
+
+    /// `(stride, death iteration)` cases at `n = 20` (19 iterations):
+    /// death at iteration 0, at the last iteration, on a checkpoint
+    /// iteration, between checkpoints, none; strides 1, 4, 19 (= iters)
+    /// and past the run.
+    const SPLICE_CASES: [(usize, Option<usize>); 8] = [
+        (4, Some(0)),
+        (4, Some(18)),
+        (4, Some(8)),
+        (4, Some(9)),
+        (1, Some(5)),
+        (19, Some(3)),
+        (40, None),
+        (3, None),
+    ];
+
+    fn splice_inputs(
+        cluster: &ClusterSpec,
+        n: usize,
+        stride: usize,
+        death_iter: Option<usize>,
+    ) -> (CyclicDistribution, Vec<f64>, Vec<u64>) {
+        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+        let dist = CyclicDistribution::fine(n, &speeds);
+        let p = cluster.size();
+        let lost: Vec<f64> = match death_iter {
+            Some(k) => (0..p)
+                .map(|r| ge_elim_flops_range(&dist.rows_of(r), n, (k / stride) * stride, k))
+                .collect(),
+            None => vec![0.0; p],
+        };
+        let bytes = (0..p).map(|r| dist.rows_of(r).len() as u64 * row_bytes(n)).collect();
+        (dist, lost, bytes)
+    }
+
+    #[test]
+    fn spliced_recording_equals_the_explicit_checkpoint_body() {
+        let cluster = het3();
+        let n = 20;
+        for (stride, death_iter) in SPLICE_CASES {
+            let (dist, lost, bytes) = splice_inputs(&cluster, n, stride, death_iter);
+            let inserts = ge_checkpoint_inserts(3, n - 1, stride, death_iter, &lost, &bytes);
+            let clean = record_spmd(&cluster, |t| ge_timed_body(t, &dist, n));
+            let explicit = record_spmd(&cluster, |t| {
+                ge_ckpt_body(t, &dist, n, stride, death_iter, &lost, &bytes)
+            });
+            assert!(
+                clean.splice(&inserts).same_ops(&explicit),
+                "stride {stride}, death {death_iter:?}: splice differs from the explicit body"
+            );
+        }
+    }
+
+    #[test]
+    fn spliced_pricing_matches_event_replay_and_the_threaded_oracle() {
+        let cluster = het3();
+        let n = 20;
+        let plan = FaultPlan::new(9).with_straggler(1, 0.5).with_link_drops(150);
+        for (stride, death_iter) in SPLICE_CASES {
+            let (dist, lost, bytes) = splice_inputs(&cluster, n, stride, death_iter);
+            let inserts = ge_checkpoint_inserts(3, n - 1, stride, death_iter, &lost, &bytes);
+            let clean = record_spmd(&cluster, |t| ge_timed_body(t, &dist, n));
+            let body = |rank: &mut hetsim_mpi::Rank<'_>| {
+                ge_ckpt_body(rank, &dist, n, stride, death_iter, &lost, &bytes)
+            };
+            for faults in [None, Some(&plan)] {
+                let spec = PriceSpec { faults, tracing: false, inserts: Some(&inserts) };
+                let lockstep = TimingOutcome::from_spmd(clean.price(&cluster, &net(), spec));
+                let replay = TimingOutcome::from_spmd(match faults {
+                    None => clean.splice(&inserts).simulate_event_driven(&cluster, &net()),
+                    Some(_) => clean.price(&cluster, &net(), PriceSpec { tracing: true, ..spec }),
+                });
+                let threaded = TimingOutcome::from_spmd(match faults {
+                    None => run_spmd(&cluster, &net(), body),
+                    Some(plan) => hetsim_mpi::run_spmd_faulted(&cluster, &net(), plan, body),
+                });
+                let case =
+                    format!("stride {stride}, death {death_iter:?}, faulted {}", faults.is_some());
+                assert_eq!(lockstep, replay, "{case}: lockstep vs event replay");
+                assert_eq!(lockstep, threaded, "{case}: lockstep vs threaded oracle");
+            }
+        }
+    }
+
+    #[test]
+    fn one_recording_prices_every_checkpoint_cell() {
+        let cluster = het3();
+        let n = 40;
+        let recording = CheckpointRecording::ge(&cluster, n);
+        let est = crate::recover::estimated_run_secs(&cluster, ge_work(n));
+        for seed in 0..6u64 {
+            let plan = FaultPlan::new(seed).with_mtbf(3.0 * est);
+            for interval in [est / 16.0, est / 3.0, est * 2.0] {
+                let policy = RecoveryPolicy::CheckpointRestart { interval_secs: interval };
+                assert_eq!(
+                    recording.checkpoint_restart(&net(), &plan, interval),
+                    ge_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n),
+                    "seed {seed}, interval {interval}"
+                );
+            }
+        }
+    }
 
     fn het3() -> ClusterSpec {
         ClusterSpec::new(

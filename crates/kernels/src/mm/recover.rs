@@ -6,8 +6,11 @@
 //! The baseline MM body charges each rank's multiply as one flop block;
 //! recovery needs intermediate states to checkpoint and to interrupt, so
 //! the recoverable variant splits the multiply into `n` virtual
-//! column-chunks of `flops / n` each and injects checkpoint, detect, and
-//! recovery charges at chunk boundaries. The split changes the
+//! column-chunks of `flops / n` each and splices checkpoint, detect, and
+//! recovery charges in at chunk boundaries — offsets into the local run
+//! before the gather (collective 1), so one clean chunked recording
+//! serves every checkpoint/restart run ([`CheckpointRecording`]). The
+//! split changes the
 //! float-op sequence, so a recoverable run with *any* checkpoint or
 //! death is a different (still deterministic) program than the
 //! baseline; with no checkpoints and no death the driver records the
@@ -19,8 +22,9 @@
 use crate::ge::timed::TimingOutcome;
 use crate::mm::timed::mm_timed_body;
 use crate::recover::{
-    checkpoint_stride, compose_segments, compose_traces, death_iteration, run_recoverable,
-    survivor_shares, DeathEvent, RecoveryOutcome, RecoveryOverhead,
+    checkpoint_stride, compose_segments, compose_traces, death_iteration, price_recoverable,
+    run_recoverable, survivor_shares, CheckpointRecording, CleanShape, DeathEvent, RecoveryOutcome,
+    RecoveryOverhead,
 };
 use crate::workload::mm_work;
 use hetpart::{repartition_after_deaths, BlockDistribution};
@@ -30,7 +34,7 @@ use hetsim_cluster::faults::{
 };
 use hetsim_cluster::network::NetworkModel;
 use hetsim_mpi::trace::RankTrace;
-use hetsim_mpi::{SpmdTimer, Tag};
+use hetsim_mpi::{record_spmd, LocalInserts, SpmdTimer, Tag};
 
 /// Bytes of one matrix row: `n` doubles.
 fn row_bytes(n: usize) -> u64 {
@@ -43,18 +47,10 @@ fn mm_flops(dist: &BlockDistribution, rank: usize, n: usize) -> f64 {
     (2 * rows * n * n).saturating_sub(rows * n) as f64
 }
 
-/// The checkpoint/restart multiply body: distribution and broadcast as
-/// the baseline, then `n` column-chunks with checkpoint, detect, and
-/// lost-work charges injected at chunk heads, then the gather.
-fn mm_ckpt_body<T: SpmdTimer>(
-    rank: &mut T,
-    dist: &BlockDistribution,
-    n: usize,
-    stride: usize,
-    death_iter: Option<usize>,
-    lost_flops: &[f64],
-    ckpt_bytes: &[u64],
-) {
+/// The checkpointable multiply: distribution and broadcast as the
+/// baseline, then `n` column-chunks of `flops / n` each, then the
+/// gather. Checkpoint/restart charges splice in at chunk boundaries.
+fn mm_chunked_body<T: SpmdTimer>(rank: &mut T, dist: &BlockDistribution, n: usize) {
     let me = rank.rank();
     let p = rank.size();
     let my_range = dist.range_of(me);
@@ -70,18 +66,106 @@ fn mm_ckpt_body<T: SpmdTimer>(
     rank.broadcast_count(0, n * n);
 
     let chunk = mm_flops(dist, me, n) / n as f64;
-    for j in 0..n {
-        if j > 0 && j % stride == 0 {
-            rank.checkpoint(ckpt_bytes[me]);
-        }
-        if death_iter == Some(j) {
-            rank.detect_failure(DETECT_TIMEOUT_SECS);
-            rank.recover(lost_flops[me], 0);
-        }
+    for _ in 0..n {
         rank.compute_flops(chunk);
     }
 
     rank.gather_count(0, my_range.len() * n);
+}
+
+/// The checkpoint/restart charges of one run, at chunk heads of the
+/// local run before the gather (collective 1; the B broadcast is 0): a
+/// checkpoint before chunk `j` when `j > 0 && j % stride == 0`, then —
+/// at the death chunk — the detector timeout and each rank's lost-work
+/// replay.
+fn mm_checkpoint_inserts(
+    n: usize,
+    stride: usize,
+    death_iter: Option<usize>,
+    lost_flops: &[f64],
+    ckpt_bytes: &[u64],
+) -> LocalInserts {
+    const GATHER: u64 = 1;
+    let mut inserts = LocalInserts::new(ckpt_bytes.len());
+    for j in 0..n {
+        if j > 0 && j % stride == 0 {
+            for (r, &bytes) in ckpt_bytes.iter().enumerate() {
+                inserts.checkpoint(r, GATHER, j, bytes);
+            }
+        }
+        if death_iter == Some(j) {
+            for (r, &lost) in lost_flops.iter().enumerate() {
+                inserts.detect_failure(r, GATHER, j, DETECT_TIMEOUT_SECS);
+                inserts.recover(r, GATHER, j, lost, 0);
+            }
+        }
+    }
+    inserts
+}
+
+/// Records the clean [`mm_chunked_body`] an MM [`CheckpointRecording`]
+/// splices its charges into.
+pub(crate) fn record_clean(cluster: &ClusterSpec, n: usize) -> CheckpointRecording {
+    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+    let dist = BlockDistribution::proportional(n, &speeds);
+    let program = record_spmd(cluster, |t| mm_chunked_body(t, &dist, n));
+    CheckpointRecording { cluster: cluster.clone(), n, shape: CleanShape::Mm(dist), program }
+}
+
+/// One checkpoint/restart run priced from the shared clean recording;
+/// a run with neither a checkpoint nor a death records the baseline
+/// body instead, so it stays bit-equal to the plain timed run.
+pub(crate) fn mm_checkpoint<N: NetworkModel>(
+    recording: &CheckpointRecording,
+    dist: &BlockDistribution,
+    network: &N,
+    plan: &FaultPlan,
+    interval_secs: f64,
+    tracing: bool,
+) -> (RecoveryOutcome, Vec<RankTrace>) {
+    let CheckpointRecording { cluster, n, program, .. } = recording;
+    let (n, p) = (*n, cluster.size());
+    let total_flops = mm_work(n);
+    let death = death_iteration(plan, cluster, n, total_flops);
+    let stride = checkpoint_stride(interval_secs, cluster, n, total_flops);
+    let any_ckpt = n > 1 && stride < n;
+    if death.is_none() && !any_ckpt {
+        let mut outcome =
+            run_recoverable(cluster, network, plan, tracing, |t| mm_timed_body(t, dist, n));
+        let traces = std::mem::take(&mut outcome.traces);
+        return (
+            RecoveryOutcome {
+                timing: TimingOutcome::from_spmd(outcome),
+                overhead: RecoveryOverhead::default(),
+                death: None,
+            },
+            traces,
+        );
+    }
+    let ckpt_bytes: Vec<u64> =
+        (0..p).map(|r| dist.range_of(r).len() as u64 * row_bytes(n)).collect();
+    let lost_flops: Vec<f64> = match death {
+        Some(ev) => {
+            let c = (ev.iteration / stride) * stride;
+            (0..p).map(|r| (ev.iteration - c) as f64 * (mm_flops(dist, r, n) / n as f64)).collect()
+        }
+        None => vec![0.0; p],
+    };
+    let death_iter = death.map(|ev| ev.iteration);
+    let inserts = mm_checkpoint_inserts(n, stride, death_iter, &lost_flops, &ckpt_bytes);
+    let mut outcome = price_recoverable(program, cluster, network, plan, tracing, Some(&inserts));
+    let traces = std::mem::take(&mut outcome.traces);
+
+    let speed_flops = cluster.nodes().iter().map(|nd| nd.marked_speed_flops());
+    let num_ckpts = if n > 1 { (n - 1) / stride } else { 0 };
+    let overhead = RecoveryOverhead {
+        checkpoint_secs: num_ckpts as f64
+            * ckpt_bytes.iter().map(|&b| checkpoint_cost_secs(b)).sum::<f64>(),
+        detect_secs: if death.is_some() { p as f64 * DETECT_TIMEOUT_SECS } else { 0.0 },
+        lost_work_secs: lost_flops.iter().zip(speed_flops).map(|(&l, s)| l / s).sum(),
+        rebalance_secs: 0.0,
+    };
+    (RecoveryOutcome { timing: TimingOutcome::from_spmd(outcome), overhead, death }, traces)
 }
 
 /// Shrink-rebalance segment A: distribution, broadcast, and the first
@@ -162,77 +246,32 @@ fn mm_recoverable<N: NetworkModel>(
     n: usize,
     tracing: bool,
 ) -> (RecoveryOutcome, Vec<RankTrace>) {
-    let p = cluster.size();
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let speed_flops: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_flops()).collect();
-    let dist = BlockDistribution::proportional(n, &speeds);
-    let total_flops = mm_work(n);
-    let death = death_iteration(plan, cluster, n, total_flops);
-
     match policy {
         RecoveryPolicy::CheckpointRestart { interval_secs } => {
-            let stride = checkpoint_stride(interval_secs, cluster, n, total_flops);
-            let any_ckpt = n > 1 && stride < n;
-            if death.is_none() && !any_ckpt {
-                // Nothing to inject: record the baseline body so the
-                // outcome is bit-equal to the plain timed run.
-                let mut outcome = run_recoverable(cluster, network, plan, tracing, |t| {
-                    mm_timed_body(t, &dist, n)
-                });
-                let traces = std::mem::take(&mut outcome.traces);
-                return (
-                    RecoveryOutcome {
-                        timing: TimingOutcome::from_spmd(outcome),
-                        overhead: RecoveryOverhead::default(),
-                        death: None,
-                    },
-                    traces,
-                );
-            }
-            let ckpt_bytes: Vec<u64> =
-                (0..p).map(|r| dist.range_of(r).len() as u64 * row_bytes(n)).collect();
-            let lost_flops: Vec<f64> = match death {
-                Some(ev) => {
-                    let c = (ev.iteration / stride) * stride;
-                    (0..p)
-                        .map(|r| (ev.iteration - c) as f64 * (mm_flops(&dist, r, n) / n as f64))
-                        .collect()
-                }
-                None => vec![0.0; p],
-            };
-            let death_iter = death.map(|ev| ev.iteration);
-            let mut outcome = run_recoverable(cluster, network, plan, tracing, |t| {
-                mm_ckpt_body(t, &dist, n, stride, death_iter, &lost_flops, &ckpt_bytes)
-            });
-            let traces = std::mem::take(&mut outcome.traces);
-
-            let num_ckpts = if n > 1 { (n - 1) / stride } else { 0 };
-            let overhead = RecoveryOverhead {
-                checkpoint_secs: num_ckpts as f64
-                    * ckpt_bytes.iter().map(|&b| checkpoint_cost_secs(b)).sum::<f64>(),
-                detect_secs: if death.is_some() { p as f64 * DETECT_TIMEOUT_SECS } else { 0.0 },
-                lost_work_secs: lost_flops.iter().zip(&speed_flops).map(|(&l, &s)| l / s).sum(),
-                rebalance_secs: 0.0,
-            };
-            (RecoveryOutcome { timing: TimingOutcome::from_spmd(outcome), overhead, death }, traces)
+            record_clean(cluster, n).price(network, plan, interval_secs, tracing)
         }
-        RecoveryPolicy::ShrinkRebalance => match death {
-            None => {
-                let mut outcome = run_recoverable(cluster, network, plan, tracing, |t| {
-                    mm_timed_body(t, &dist, n)
-                });
-                let traces = std::mem::take(&mut outcome.traces);
-                (
-                    RecoveryOutcome {
-                        timing: TimingOutcome::from_spmd(outcome),
-                        overhead: RecoveryOverhead::default(),
-                        death: None,
-                    },
-                    traces,
-                )
+        RecoveryPolicy::ShrinkRebalance => {
+            let speeds: Vec<f64> =
+                cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+            let dist = BlockDistribution::proportional(n, &speeds);
+            match death_iteration(plan, cluster, n, mm_work(n)) {
+                None => {
+                    let mut outcome = run_recoverable(cluster, network, plan, tracing, |t| {
+                        mm_timed_body(t, &dist, n)
+                    });
+                    let traces = std::mem::take(&mut outcome.traces);
+                    (
+                        RecoveryOutcome {
+                            timing: TimingOutcome::from_spmd(outcome),
+                            overhead: RecoveryOverhead::default(),
+                            death: None,
+                        },
+                        traces,
+                    )
+                }
+                Some(ev) => mm_shrink(cluster, network, plan, n, &dist, ev, tracing),
             }
-            Some(ev) => mm_shrink(cluster, network, plan, n, &dist, ev, tracing),
-        },
+        }
     }
 }
 
@@ -297,7 +336,153 @@ mod tests {
     use crate::mm::mm_parallel_timed;
     use hetsim_cluster::network::SharedEthernet;
     use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::run_spmd;
+    use hetsim_mpi::{run_spmd, PriceSpec};
+
+    /// The explicit checkpoint/restart multiply the spliced recording
+    /// replaced — kept as the reference the splice is pinned to:
+    /// distribution and broadcast as the baseline, then `n`
+    /// column-chunks with checkpoint, detect, and lost-work charges
+    /// written in at chunk heads, then the gather.
+    fn mm_ckpt_body<T: SpmdTimer>(
+        rank: &mut T,
+        dist: &BlockDistribution,
+        n: usize,
+        stride: usize,
+        death_iter: Option<usize>,
+        lost_flops: &[f64],
+        ckpt_bytes: &[u64],
+    ) {
+        let me = rank.rank();
+        let p = rank.size();
+        let my_range = dist.range_of(me);
+
+        if me == 0 {
+            for peer in 1..p {
+                let r = dist.range_of(peer);
+                rank.send_count(peer, Tag::DATA, r.len() * n);
+            }
+        } else {
+            rank.recv_count(0, Tag::DATA, my_range.len() * n);
+        }
+        rank.broadcast_count(0, n * n);
+
+        let chunk = mm_flops(dist, me, n) / n as f64;
+        for j in 0..n {
+            if j > 0 && j % stride == 0 {
+                rank.checkpoint(ckpt_bytes[me]);
+            }
+            if death_iter == Some(j) {
+                rank.detect_failure(DETECT_TIMEOUT_SECS);
+                rank.recover(lost_flops[me], 0);
+            }
+            rank.compute_flops(chunk);
+        }
+
+        rank.gather_count(0, my_range.len() * n);
+    }
+
+    /// `(stride, death chunk)` cases at `n = 18` chunks: death at chunk
+    /// 0, at the last chunk, on a checkpoint chunk, between
+    /// checkpoints, none; strides 1, 4, 18 (= chunks) and past the run.
+    const SPLICE_CASES: [(usize, Option<usize>); 8] = [
+        (4, Some(0)),
+        (4, Some(17)),
+        (4, Some(8)),
+        (4, Some(9)),
+        (1, Some(5)),
+        (18, Some(3)),
+        (40, Some(11)),
+        (3, None),
+    ];
+
+    fn splice_inputs(
+        cluster: &ClusterSpec,
+        n: usize,
+        stride: usize,
+        death_iter: Option<usize>,
+    ) -> (BlockDistribution, Vec<f64>, Vec<u64>) {
+        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+        let dist = BlockDistribution::proportional(n, &speeds);
+        let p = cluster.size();
+        let lost: Vec<f64> = match death_iter {
+            Some(k) => (0..p)
+                .map(|r| (k - (k / stride) * stride) as f64 * (mm_flops(&dist, r, n) / n as f64))
+                .collect(),
+            None => vec![0.0; p],
+        };
+        let bytes = (0..p).map(|r| dist.range_of(r).len() as u64 * row_bytes(n)).collect();
+        (dist, lost, bytes)
+    }
+
+    #[test]
+    fn spliced_recording_equals_the_explicit_checkpoint_body() {
+        let cluster = het3();
+        let n = 18;
+        for (stride, death_iter) in SPLICE_CASES {
+            let (dist, lost, bytes) = splice_inputs(&cluster, n, stride, death_iter);
+            let inserts = mm_checkpoint_inserts(n, stride, death_iter, &lost, &bytes);
+            let clean = record_spmd(&cluster, |t| mm_chunked_body(t, &dist, n));
+            let explicit = record_spmd(&cluster, |t| {
+                mm_ckpt_body(t, &dist, n, stride, death_iter, &lost, &bytes)
+            });
+            assert!(
+                clean.splice(&inserts).same_ops(&explicit),
+                "stride {stride}, death {death_iter:?}: splice differs from the explicit body"
+            );
+        }
+    }
+
+    #[test]
+    fn spliced_pricing_matches_event_replay_and_the_threaded_oracle() {
+        let cluster = het3();
+        let n = 18;
+        let plan = FaultPlan::new(9).with_straggler(2, 0.5).with_link_drops(150);
+        for (stride, death_iter) in SPLICE_CASES {
+            let (dist, lost, bytes) = splice_inputs(&cluster, n, stride, death_iter);
+            let inserts = mm_checkpoint_inserts(n, stride, death_iter, &lost, &bytes);
+            let clean = record_spmd(&cluster, |t| mm_chunked_body(t, &dist, n));
+            let body = |rank: &mut hetsim_mpi::Rank<'_>| {
+                mm_ckpt_body(rank, &dist, n, stride, death_iter, &lost, &bytes)
+            };
+            for faults in [None, Some(&plan)] {
+                let spec = PriceSpec { faults, tracing: false, inserts: Some(&inserts) };
+                let lockstep = TimingOutcome::from_spmd(clean.price(&cluster, &net(), spec));
+                let replay = TimingOutcome::from_spmd(match faults {
+                    None => clean.splice(&inserts).simulate_event_driven(&cluster, &net()),
+                    Some(_) => clean.price(&cluster, &net(), PriceSpec { tracing: true, ..spec }),
+                });
+                let threaded = TimingOutcome::from_spmd(match faults {
+                    None => run_spmd(&cluster, &net(), body),
+                    Some(plan) => hetsim_mpi::run_spmd_faulted(&cluster, &net(), plan, body),
+                });
+                let case =
+                    format!("stride {stride}, death {death_iter:?}, faulted {}", faults.is_some());
+                assert_eq!(lockstep, replay, "{case}: lockstep vs event replay");
+                assert_eq!(lockstep, threaded, "{case}: lockstep vs threaded oracle");
+            }
+        }
+    }
+
+    #[test]
+    fn one_recording_prices_every_checkpoint_cell() {
+        let cluster = het3();
+        let n = 30;
+        let recording = CheckpointRecording::mm(&cluster, n);
+        let est = crate::recover::estimated_run_secs(&cluster, mm_work(n));
+        for seed in 0..6u64 {
+            let plan = FaultPlan::new(seed).with_mtbf(3.0 * est);
+            // The last interval checkpoints never: death-free seeds take
+            // the baseline body.
+            for interval in [est / 16.0, est / 3.0, est * 2.0] {
+                let policy = RecoveryPolicy::CheckpointRestart { interval_secs: interval };
+                assert_eq!(
+                    recording.checkpoint_restart(&net(), &plan, interval),
+                    mm_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n),
+                    "seed {seed}, interval {interval}"
+                );
+            }
+        }
+    }
 
     fn het3() -> ClusterSpec {
         ClusterSpec::new(

@@ -11,16 +11,22 @@
 //! the recovery sweep stays byte-stable. The same estimated clock
 //! converts a checkpoint *interval* into an iteration stride
 //! ([`checkpoint_stride`]).
+//!
+//! Checkpoint/restart never changes a kernel's communication: its
+//! checkpoint, detector-timeout and lost-work charges are local ops at
+//! iteration heads. So a checkpoint/restart run is the kernel's *clean*
+//! recording plus those charges spliced in ([`LocalInserts`]), and one
+//! [`CheckpointRecording`] prices any number of such runs — the Daly
+//! campaign's whole seed × interval grid — from a single record phase.
 
 use crate::ge::TimingOutcome;
+use hetpart::{BlockDistribution, CyclicDistribution};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
-use hetsim_mpi::{
-    run_spmd_fast, run_spmd_fast_faulted, run_spmd_fast_faulted_traced, run_spmd_fast_traced,
-    RecordTimer, SpmdOutcome,
-};
+use hetsim_mpi::trace::RankTrace;
+use hetsim_mpi::{record_spmd, LocalInserts, PriceSpec, RecordTimer, SpmdOutcome, SpmdProgram};
 
 /// The plan's earliest sampled death, resolved onto the driver's
 /// iteration axis.
@@ -136,15 +142,29 @@ pub(crate) fn survivor_shares(lost_flops: f64, survivor_speeds: &[f64]) -> Vec<f
 /// Whether `plan` injects anything the *runtime* must price per-op
 /// (degradation windows or lossy links). An MTBF stream alone does not
 /// count: it is resolved by the driver, so pure checkpoint/restart runs
-/// take the plain fast path — where the lockstep analyzer sees the
-/// recovery ops and records its typed `recovery-ops` fallback.
+/// price without a plan. Either way an untraced recovery run prices on
+/// the lockstep evaluator, which absorbs the recovery ops into its
+/// local runs; only the telemetry mode of traced runs differs.
 pub(crate) fn runtime_faults_active(plan: &FaultPlan, p: usize) -> bool {
     plan.drop_per_mille() > 0 || (0..p).any(|r| plan.windows_for(r).is_some())
 }
 
-/// Runs `body` on the fast engine, routing through the faulted entry
-/// points only when the plan carries runtime faults (see
-/// [`runtime_faults_active`]).
+/// Prices a recorded recovery program with `inserts` spliced in,
+/// passing the plan to the engine only when it carries runtime faults
+/// (see [`runtime_faults_active`]).
+pub(crate) fn price_recoverable<N: NetworkModel>(
+    program: &SpmdProgram<()>,
+    cluster: &ClusterSpec,
+    network: &N,
+    plan: &FaultPlan,
+    tracing: bool,
+    inserts: Option<&LocalInserts>,
+) -> SpmdOutcome<()> {
+    let faults = runtime_faults_active(plan, cluster.size()).then_some(plan);
+    program.price(cluster, network, PriceSpec { faults, tracing, inserts })
+}
+
+/// Records `body` and prices it (see [`price_recoverable`]).
 pub(crate) fn run_recoverable<N, F>(
     cluster: &ClusterSpec,
     network: &N,
@@ -156,11 +176,72 @@ where
     N: NetworkModel,
     F: Fn(&mut RecordTimer),
 {
-    match (runtime_faults_active(plan, cluster.size()), tracing) {
-        (false, false) => run_spmd_fast(cluster, network, body),
-        (false, true) => run_spmd_fast_traced(cluster, network, body),
-        (true, false) => run_spmd_fast_faulted(cluster, network, plan, body),
-        (true, true) => run_spmd_fast_faulted_traced(cluster, network, plan, body),
+    price_recoverable(&record_spmd(cluster, body), cluster, network, plan, tracing, None)
+}
+
+/// The distribution a [`CheckpointRecording`] was recorded under,
+/// which names its kernel.
+pub(crate) enum CleanShape {
+    /// GE: the elimination skeleton under the fine cyclic deal.
+    Ge(CyclicDistribution),
+    /// MM: the chunked multiply under the proportional block split.
+    Mm(BlockDistribution),
+}
+
+/// A recoverable kernel's clean program, recorded once for one
+/// `(cluster, n)` and priced under any number of checkpoint/restart
+/// cells. Each cell splices its own checkpoint, detect and lost-work
+/// charges into the shared recording instead of recording a program of
+/// its own; every pricing is bit-identical to
+/// [`crate::ge::ge_parallel_timed_recoverable`] /
+/// [`crate::mm::mm_parallel_timed_recoverable`] under the same plan and
+/// checkpoint-restart policy (DESIGN.md §12).
+pub struct CheckpointRecording {
+    pub(crate) cluster: ClusterSpec,
+    pub(crate) n: usize,
+    pub(crate) shape: CleanShape,
+    pub(crate) program: SpmdProgram<()>,
+}
+
+impl CheckpointRecording {
+    /// Records GE's clean elimination skeleton at size `n`.
+    pub fn ge(cluster: &ClusterSpec, n: usize) -> CheckpointRecording {
+        crate::ge::recover::record_clean(cluster, n)
+    }
+
+    /// Records MM's clean chunked multiply at size `n`.
+    pub fn mm(cluster: &ClusterSpec, n: usize) -> CheckpointRecording {
+        crate::mm::recover::record_clean(cluster, n)
+    }
+
+    /// Prices one checkpoint/restart run every `interval_secs` under
+    /// `plan`'s MTBF stream (and runtime faults, if any).
+    pub fn checkpoint_restart<N: NetworkModel>(
+        &self,
+        network: &N,
+        plan: &FaultPlan,
+        interval_secs: f64,
+    ) -> RecoveryOutcome {
+        self.price(network, plan, interval_secs, false).0
+    }
+
+    /// [`checkpoint_restart`](Self::checkpoint_restart), optionally
+    /// traced.
+    pub(crate) fn price<N: NetworkModel>(
+        &self,
+        network: &N,
+        plan: &FaultPlan,
+        interval_secs: f64,
+        tracing: bool,
+    ) -> (RecoveryOutcome, Vec<RankTrace>) {
+        match &self.shape {
+            CleanShape::Ge(dist) => {
+                crate::ge::recover::ge_checkpoint(self, dist, network, plan, interval_secs, tracing)
+            }
+            CleanShape::Mm(dist) => {
+                crate::mm::recover::mm_checkpoint(self, dist, network, plan, interval_secs, tracing)
+            }
+        }
     }
 }
 

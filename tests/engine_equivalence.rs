@@ -12,8 +12,8 @@ use hetscale::hetsim_cluster::network::{
 };
 use hetscale::hetsim_cluster::{ClassedCluster, ClusterSpec, NodeSpec};
 use hetscale::hetsim_mpi::{
-    record_spmd, run_spmd, run_spmd_fast, run_spmd_fast_faulted_traced, run_spmd_faulted_traced,
-    OpKind, SpmdOutcome, SpmdTimer, Tag,
+    record_spmd, run_spmd, run_spmd_fast, run_spmd_fast_faulted_traced, run_spmd_faulted,
+    run_spmd_faulted_traced, OpKind, PriceSpec, SpmdOutcome, SpmdTimer, Tag,
 };
 use hetscale::kernels::ge::ge_timed_body;
 use hetscale::kernels::mega::{ge_mega, mm_mega, power_mega};
@@ -153,6 +153,13 @@ proptest! {
         // Retry charges specifically: same drop schedule must be hit on
         // both engines, message for message.
         prop_assert_eq!(retry_counts(&fast.traces), retry_counts(&threaded.traces));
+        // Untraced, a lockstep recording prices the same plan on the
+        // lockstep evaluator.
+        let program = record_spmd(&cluster, |t| mixed_body(t, rounds, n));
+        if program.is_lockstep() {
+            let spec = PriceSpec { faults: Some(&plan), ..PriceSpec::default() };
+            assert_times_match(&program.price(&cluster, &net, spec), &threaded);
+        }
     }
 
     /// Class-dedup and ready-queue scheduling against the oracle across
@@ -418,4 +425,48 @@ fn send_across_barrier_reports_the_expected_fallback_reason() {
     });
     assert_eq!(lockstep.fallback_reason(), None);
     assert!(lockstep.is_lockstep());
+}
+
+/// Every `--faults` severity, priced untraced on the lockstep evaluator
+/// for both kernels, against the faulted threaded oracle: degraded
+/// windows, the broadcast root's per-peer retry walk, gather-leaf and
+/// send retries all land where the scheduler charges them.
+#[test]
+fn faulted_lockstep_evaluation_matches_the_faulted_oracle_for_every_severity() {
+    use bench_tables::experiments::faults::Severity;
+    use hetscale::hetsim_cluster::sunwulf;
+    let net = sunwulf::sunwulf_network();
+    let p = 8;
+    for severity in Severity::ALL {
+        for ge in [true, false] {
+            let full = if ge { sunwulf::ge_config(p) } else { sunwulf::mm_config(p) };
+            let plan = severity.plan(p);
+            let (cluster, plan) = if plan.deaths().is_empty() {
+                (full, plan)
+            } else {
+                (plan.surviving_cluster(&full).expect("survivors"), plan.for_survivors(p))
+            };
+            let speeds: Vec<f64> =
+                cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+            let spec = PriceSpec { faults: Some(&plan), ..PriceSpec::default() };
+            let (lockstep, oracle) = if ge {
+                let n = 96;
+                let dist = CyclicDistribution::fine(n, &speeds);
+                let program = record_spmd(&cluster, |t| ge_timed_body(t, &dist, n));
+                assert!(program.is_lockstep(), "{severity:?}: GE must be lockstep");
+                let oracle =
+                    run_spmd_faulted(&cluster, &net, &plan, |r| ge_timed_body(r, &dist, n));
+                (program.price(&cluster, &net, spec), oracle)
+            } else {
+                let n = 64;
+                let dist = BlockDistribution::proportional(n, &speeds);
+                let program = record_spmd(&cluster, |t| mm_timed_body(t, &dist, n));
+                assert!(program.is_lockstep(), "{severity:?}: MM must be lockstep");
+                let oracle =
+                    run_spmd_faulted(&cluster, &net, &plan, |r| mm_timed_body(r, &dist, n));
+                (program.price(&cluster, &net, spec), oracle)
+            };
+            assert_times_match(&lockstep, &oracle);
+        }
+    }
 }
