@@ -42,6 +42,16 @@ cmp /tmp/ci_recover_analytic.txt /tmp/ci_recover_engine.txt || {
     echo "--no-analytic output diverged on the recovery sweep" >&2
     exit 1
 }
+# The same contract at full size on a non-default seed: only the full
+# grids reach GE n = 5200, where every fault severity and every clean
+# and checkpoint/restart row of a size prices from one shared clean
+# recording (kernels::CleanRecording).
+"$BIN" --faults recover --seed 7 > /tmp/ci_faults_recover_analytic.txt
+"$BIN" --faults recover --seed 7 --no-analytic > /tmp/ci_faults_recover_engine.txt
+cmp /tmp/ci_faults_recover_analytic.txt /tmp/ci_faults_recover_engine.txt || {
+    echo "--no-analytic output diverged on the full --faults recover sweep (seed 7)" >&2
+    exit 1
+}
 # Mega-scale sweep smoke (DESIGN.md §13): the class-aggregated closed
 # forms — including the round-batched GE form — must reproduce the
 # per-rank oracle byte for byte at the largest oracle-affordable

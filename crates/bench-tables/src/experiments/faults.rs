@@ -10,7 +10,7 @@
 //! bit-identical to the baseline without a plan.
 
 use crate::params::ExperimentParams;
-use crate::systems::{GeSystem, MmSystem};
+use crate::systems::{curves_by_size, GeSystem, MmSystem, SharedRecordingSystem};
 use crate::table::{fnum, Table};
 use hetpart::repartition_after_deaths;
 use hetsim_cluster::cluster::ClusterSpec;
@@ -18,10 +18,11 @@ use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::sunwulf;
 use hetsim_cluster::time::SimTime;
-use kernels::ge::{ge_parallel_timed_faulted, ge_parallel_timed_faulted_traced};
-use kernels::mm::{mm_parallel_timed_faulted, mm_parallel_timed_faulted_traced};
+use kernels::ge::ge_parallel_timed_faulted_traced;
+use kernels::mm::mm_parallel_timed_faulted_traced;
 use kernels::workload::{ge_work, mm_work};
-use scalability::metric::{AlgorithmSystem, ScalabilityLadder};
+use kernels::CleanRecording;
+use scalability::metric::{AlgorithmSystem, EfficiencyCurve, ScalabilityLadder};
 use scalability::report::{analyze, RobustnessAnnex, ScalabilityReport};
 
 /// Link-drop probability used by the lossy severities, in per-mille.
@@ -157,22 +158,27 @@ impl<N: NetworkModel> AlgorithmSystem for FaultedSystem<'_, N> {
         }
     }
     fn execute(&self, n: usize) -> f64 {
-        match self.kernel {
-            Kernel::Ge => {
-                crate::memo::cached("ge", &self.cluster, self.network, n, Some(&self.plan), || {
-                    ge_parallel_timed_faulted(&self.cluster, self.network, &self.plan, n)
-                })
-                .makespan
-                .as_secs()
-            }
-            Kernel::Mm => {
-                crate::memo::cached("mm", &self.cluster, self.network, n, Some(&self.plan), || {
-                    mm_parallel_timed_faulted(&self.cluster, self.network, &self.plan, n)
-                })
-                .makespan
-                .as_secs()
-            }
-        }
+        self.makespan(n, &mut None)
+    }
+}
+
+impl<N: NetworkModel> SharedRecordingSystem for FaultedSystem<'_, N> {
+    /// Every severity but the death runs the full scaled cluster.
+    fn shares_recording(&self) -> bool {
+        self.severity != Severity::Death
+    }
+
+    fn makespan(&self, n: usize, recording: &mut Option<CleanRecording>) -> f64 {
+        let (label, record): (_, fn(&ClusterSpec, usize) -> CleanRecording) = match self.kernel {
+            Kernel::Ge => ("ge", CleanRecording::ge),
+            Kernel::Mm => ("mm", CleanRecording::mm),
+        };
+        crate::memo::cached(label, &self.cluster, self.network, n, Some(&self.plan), || {
+            let recording = recording.get_or_insert_with(|| record(&self.cluster, n));
+            recording.faulted(self.network, &self.plan)
+        })
+        .makespan
+        .as_secs()
     }
 }
 
@@ -204,20 +210,21 @@ fn measure_kernel<N: NetworkModel>(
 
     let base_ge = GeSystem { cluster: &base_cluster, network: net };
     let base_mm = MmSystem { cluster: &base_cluster, network: net };
-    let measure_step = |scaled: &dyn AlgorithmSystem| -> ScalabilityLadder {
-        let base: &dyn AlgorithmSystem = match kernel {
-            Kernel::Ge => &base_ge,
-            Kernel::Mm => &base_mm,
-        };
-        ScalabilityLadder::measure(&[base, scaled], target, sizes, params.fit_degree)
-            .expect("fault sweep rung reaches the target efficiency")
+    let base: &dyn AlgorithmSystem = match kernel {
+        Kernel::Ge => &base_ge,
+        Kernel::Mm => &base_mm,
     };
 
+    let systems: Vec<FaultedSystem<'_, N>> =
+        Severity::ALL.iter().map(|&s| FaultedSystem::new(kernel, s, p_scaled, net)).collect();
     let mut rows = Vec::new();
     let mut psi_baseline = f64::NAN;
-    for severity in Severity::ALL {
-        let faulted = FaultedSystem::new(kernel, severity, p_scaled, net);
-        let ladder = measure_step(&faulted);
+    for (faulted, curve) in systems.iter().zip(curves_by_size(&systems, sizes)) {
+        let severity = faulted.severity;
+        let curves = [EfficiencyCurve::measure(base, sizes), curve];
+        let ladder =
+            ScalabilityLadder::from_curves(&[base, faulted], &curves, target, params.fit_degree)
+                .expect("fault sweep rung reaches the target efficiency");
         let psi = ladder.steps[0].psi;
         if severity == Severity::None {
             psi_baseline = psi;

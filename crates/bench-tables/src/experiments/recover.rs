@@ -26,12 +26,16 @@
 //! mean makespan over a deterministic seed campaign across interval
 //! multipliers `[0.25, 0.5, 1, 2, 4] × daly`; the measured optimum must
 //! agree with the prediction within one grid step (pinned by tests and
-//! EXPERIMENTS.md "R2"). Each kernel's campaign records its clean
-//! program once ([`CheckpointRecording`]) and prices every seed ×
-//! interval cell from it.
+//! EXPERIMENTS.md "R2").
+//!
+//! Pricing is record-once ([`CleanRecording`]): the sweep walks its
+//! size grid size by size, and at each n the clean row and the three
+//! checkpoint/restart rows price from one recording of the scaled
+//! cluster; each kernel's Daly campaign records its representative
+//! size once and prices every seed × interval cell from it.
 
 use crate::params::ExperimentParams;
-use crate::systems::{GeSystem, MmSystem};
+use crate::systems::{curves_by_size, GeSystem, MmSystem, SharedRecordingSystem};
 use crate::table::{fnum, Table};
 use hetpart::{BlockDistribution, CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
@@ -44,8 +48,8 @@ use kernels::ge::{ge_parallel_timed_recoverable, ge_parallel_timed_recoverable_t
 use kernels::mm::{mm_parallel_timed_recoverable, mm_parallel_timed_recoverable_traced};
 use kernels::recover::estimated_run_secs;
 use kernels::workload::{ge_work, mm_work};
-use kernels::{CheckpointRecording, RecoveryOutcome};
-use scalability::metric::{AlgorithmSystem, ScalabilityLadder};
+use kernels::{CleanRecording, RecoveryOutcome};
+use scalability::metric::{AlgorithmSystem, EfficiencyCurve, ScalabilityLadder};
 use scalability::report::{analyze, RecoveryBreakdown, RobustnessAnnex, ScalabilityReport};
 
 /// MTBF severities, as multiples of the cell's estimated run time
@@ -130,20 +134,25 @@ impl Kernel {
     /// proportional block rows of `n` doubles).
     fn checkpoint_delta_secs(self, cluster: &ClusterSpec, n: usize) -> f64 {
         let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-        let p = cluster.size();
-        let bytes = |r: usize| -> u64 {
-            match self {
-                Kernel::Ge => {
-                    let dist = CyclicDistribution::fine(n, &speeds);
-                    dist.rows_of(r).len() as u64 * ((n + 1) * 8) as u64
-                }
-                Kernel::Mm => {
-                    let dist = BlockDistribution::proportional(n, &speeds);
-                    dist.range_of(r).len() as u64 * (n * 8) as u64
-                }
+        let bytes: Vec<u64> = match self {
+            Kernel::Ge => {
+                let dist = CyclicDistribution::fine(n, &speeds);
+                (0..dist.p()).map(|r| dist.rows_of(r).len() as u64 * ((n + 1) * 8) as u64).collect()
+            }
+            Kernel::Mm => {
+                let dist = BlockDistribution::proportional(n, &speeds);
+                (0..dist.p()).map(|r| dist.range_of(r).len() as u64 * (n * 8) as u64).collect()
             }
         };
-        (0..p).map(|r| checkpoint_cost_secs(bytes(r))).fold(0.0, f64::max)
+        bytes.into_iter().map(checkpoint_cost_secs).fold(0.0, f64::max)
+    }
+
+    /// Records the kernel's clean program at size `n`.
+    fn record(self, cluster: &ClusterSpec, n: usize) -> CleanRecording {
+        match self {
+            Kernel::Ge => CleanRecording::ge(cluster, n),
+            Kernel::Mm => CleanRecording::mm(cluster, n),
+        }
     }
 }
 
@@ -237,10 +246,32 @@ impl<N: NetworkModel> AlgorithmSystem for RecoverableSystem<'_, N> {
         self.kernel.work(n)
     }
     fn execute(&self, n: usize) -> f64 {
+        self.makespan(n, &mut None)
+    }
+}
+
+impl<N: NetworkModel> SharedRecordingSystem for RecoverableSystem<'_, N> {
+    /// The clean baseline and checkpoint/restart price from the clean
+    /// program; shrink-rebalance resumes on a survivor cluster with a
+    /// program of its own.
+    fn shares_recording(&self) -> bool {
+        self.mtbf_factor.is_none() || self.policy == PolicyKind::CheckpointRestart
+    }
+
+    fn makespan(&self, n: usize, recording: &mut Option<CleanRecording>) -> f64 {
         let plan = self.plan_for(n);
         let policy = self.policy_for(n);
         let label = self.policy.memo_label(self.kernel);
         crate::memo::cached(label, &self.cluster, self.network, n, Some(&plan), || {
+            if self.shares_recording() {
+                let checkpoint_secs = match policy {
+                    RecoveryPolicy::CheckpointRestart { interval_secs } => Some(interval_secs),
+                    RecoveryPolicy::ShrinkRebalance => None,
+                };
+                let recording =
+                    recording.get_or_insert_with(|| self.kernel.record(&self.cluster, n));
+                return recording.recover(self.network, &plan, checkpoint_secs).timing;
+            }
             match self.kernel {
                 Kernel::Ge => {
                     ge_parallel_timed_recoverable(&self.cluster, self.network, &plan, policy, n)
@@ -294,22 +325,29 @@ fn measure_kernel<N: NetworkModel>(
         specs.push((Some(factor), PolicyKind::ShrinkRebalance));
     }
 
-    let mut rows = Vec::new();
-    let mut psi_baseline = f64::NAN;
-    for (mtbf_factor, policy) in specs {
-        let system = RecoverableSystem {
+    let base: &dyn AlgorithmSystem = match kernel {
+        Kernel::Ge => &base_ge,
+        Kernel::Mm => &base_mm,
+    };
+    let systems: Vec<RecoverableSystem<'_, N>> = specs
+        .into_iter()
+        .map(|(mtbf_factor, policy)| RecoverableSystem {
             kernel,
             mtbf_factor,
             policy,
             cluster: kernel.config(p_scaled),
             network: net,
-        };
-        let base: &dyn AlgorithmSystem = match kernel {
-            Kernel::Ge => &base_ge,
-            Kernel::Mm => &base_mm,
-        };
-        let ladder = ScalabilityLadder::measure(&[base, &system], target, sizes, params.fit_degree)
-            .expect("recovery sweep rung reaches the target efficiency");
+        })
+        .collect();
+
+    let mut rows = Vec::new();
+    let mut psi_baseline = f64::NAN;
+    for (system, curve) in systems.iter().zip(curves_by_size(&systems, sizes)) {
+        let (mtbf_factor, policy) = (system.mtbf_factor, system.policy);
+        let curves = [EfficiencyCurve::measure(base, sizes), curve];
+        let ladder =
+            ScalabilityLadder::from_curves(&[base, system], &curves, target, params.fit_degree)
+                .expect("recovery sweep rung reaches the target efficiency");
         let psi = ladder.steps[0].psi;
         if mtbf_factor.is_none() {
             psi_baseline = psi;
@@ -417,10 +455,7 @@ fn daly_check(kernel: Kernel, p: usize, quick: bool) -> DalyCheck {
     // Every cell shares one cluster and one n, so they share one clean
     // recording and differ only in their spliced checkpoint, detect and
     // lost-work charges.
-    let recording = match kernel {
-        Kernel::Ge => CheckpointRecording::ge(&cluster, n),
-        Kernel::Mm => CheckpointRecording::mm(&cluster, n),
-    };
+    let recording = kernel.record(&cluster, n);
     // One campaign cell per (multiplier, seed); the pool assembles
     // results in cell order, so the means below are fixed-order sums
     // and the table is byte-identical for every `--jobs N`.
@@ -428,7 +463,7 @@ fn daly_check(kernel: Kernel, p: usize, quick: bool) -> DalyCheck {
         (0..DALY_GRID.len()).flat_map(|mi| (0..seeds).map(move |s| (mi, s))).collect();
     let makespans = crate::pool::run_indexed(&cells, |_, &(mi, s)| {
         let plan = FaultPlan::new(crate::seed::plan_seed() + DALY_SEED_SALT + s).with_mtbf(mtbf);
-        let outcome = recording.checkpoint_restart(&net, &plan, DALY_GRID[mi] * daly);
+        let outcome = recording.recover(&net, &plan, Some(DALY_GRID[mi] * daly));
         outcome.timing.makespan.as_secs()
     });
 

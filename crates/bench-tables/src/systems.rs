@@ -17,7 +17,8 @@ use kernels::mm::mm_parallel_timed;
 use kernels::power::{power_parallel_timed, power_work};
 use kernels::stencil::{stencil_parallel_timed, stencil_work};
 use kernels::workload::{ge_work, mm_work};
-use scalability::metric::AlgorithmSystem;
+use kernels::CleanRecording;
+use scalability::metric::{AlgorithmSystem, EfficiencyCurve};
 use scalability::Measurement;
 
 /// Sweep count used by the stencil scalability experiments: grows with
@@ -31,6 +32,56 @@ pub fn stencil_iters(n: usize) -> usize {
 /// same Θ(N³)-total-work rationale).
 pub fn power_iters(n: usize) -> usize {
     n.div_ceil(4).max(1)
+}
+
+/// A scaled configuration whose cells can price from one clean
+/// recording per problem size, shared with every other system on the
+/// same cluster (the `--faults` and `recover` ladders).
+pub(crate) trait SharedRecordingSystem: AlgorithmSystem {
+    /// Whether this system's cells price from the size's shared clean
+    /// recording; the others record their own programs.
+    fn shares_recording(&self) -> bool;
+
+    /// Execution time in seconds at `n`. A sharing system prices from
+    /// `recording`, recording it on the first memo miss.
+    fn makespan(&self, n: usize, recording: &mut Option<CleanRecording>) -> f64;
+}
+
+/// The efficiency curves of `systems` over `sizes`, in `systems` order,
+/// each identical to [`EfficiencyCurve::measure`] of its system. They
+/// are measured size by size: at each n the sharing systems price from
+/// one clean recording, which is dropped before the others record their
+/// own, so one recording is alive at a time.
+pub(crate) fn curves_by_size<S: SharedRecordingSystem>(
+    systems: &[S],
+    sizes: &[usize],
+) -> Vec<EfficiencyCurve> {
+    let measure = |system: &S, n: usize, recording: &mut Option<CleanRecording>| Measurement {
+        n,
+        work_flops: system.work(n),
+        time_secs: system.makespan(n, recording),
+        marked_speed_flops: system.marked_speed_flops(),
+    };
+    let mut measured: Vec<Vec<Measurement>> = vec![Vec::with_capacity(sizes.len()); systems.len()];
+    for &n in sizes {
+        let mut recording = None;
+        for (system, curve) in systems.iter().zip(&mut measured) {
+            if system.shares_recording() {
+                curve.push(measure(system, n, &mut recording));
+            }
+        }
+        drop(recording);
+        for (system, curve) in systems.iter().zip(&mut measured) {
+            if !system.shares_recording() {
+                curve.push(measure(system, n, &mut None));
+            }
+        }
+    }
+    systems
+        .iter()
+        .zip(measured)
+        .map(|(s, m)| EfficiencyCurve::from_measurements(s.label(), m))
+        .collect()
 }
 
 /// Parallel GE on one cluster configuration.

@@ -430,3 +430,32 @@ fn profile_doc_declares_itself_non_deterministic() {
     assert!(ids.contains_key("t2"), "t2 lap missing: {text}");
     assert!(doc["total_us"].as_num().expect("total") >= 0.0);
 }
+
+// History pin: the other tests compare run with run, worker count with
+// worker count and engine with engine; this one compares with bytes
+// recorded earlier. `fixtures/quick_faults_recover.*` hold the stdout
+// and `--stats-out` document of `--quick --faults recover` as the
+// program printed them before the faults and recover ladders priced
+// their cells from shared clean recordings; any change to either is a
+// change of results (or of the telemetry schema) and must regenerate
+// them deliberately.
+#[test]
+fn quick_faults_recover_matches_its_recorded_bytes() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let read = |name: &str| std::fs::read(fixtures.join(name)).expect("fixture present");
+    let dir = temp_dir("golden");
+    let path = dir.join("stats.json");
+    let path_str = path.to_str().expect("utf-8 temp path");
+    let out = run(&["--quick", "--faults", "recover", "--stats-out", path_str]);
+    assert!(out.status.success(), "exit {:?}: {}", out.status, stderr(&out));
+    let stats = std::fs::read(&path).expect("stats file written");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        out.stdout == read("quick_faults_recover.stdout"),
+        "--quick --faults recover stdout differs from fixtures/quick_faults_recover.stdout"
+    );
+    assert!(
+        stats == read("quick_faults_recover.stats.json"),
+        "--stats-out differs from fixtures/quick_faults_recover.stats.json"
+    );
+}

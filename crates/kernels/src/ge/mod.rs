@@ -11,7 +11,7 @@ pub use seq::ge_sequential;
 pub use timed::{
     ge_parallel_timed, ge_parallel_timed_faulted, ge_parallel_timed_faulted_traced,
     ge_parallel_timed_many, ge_parallel_timed_traced, ge_parallel_timed_with, ge_timed_body,
-    GeRecording, TimingOutcome,
+    TimingOutcome,
 };
 
 #[cfg(test)]

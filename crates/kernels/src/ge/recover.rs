@@ -12,8 +12,8 @@
 //!   the last checkpoint (`LostWork`), then the run continues unchanged.
 //!   These charges sit at iteration heads — right before iteration
 //!   `i`'s pivot broadcast, collective `2i` — so the run is the clean
-//!   [`ge_timed_body`] recording with them spliced in
-//!   ([`CheckpointRecording`]).
+//!   [`crate::ge::ge_timed_body`] recording with them spliced in
+//!   ([`CleanRecording`]).
 //! - **Shrink-and-rebalance** drops the dead rank. The run is composed
 //!   from two segments: iterations `[0, k)` on the full cluster, then —
 //!   after the survivors detect the death, replay the dead rank's
@@ -34,21 +34,19 @@
 //! scheduler.
 
 use crate::analytic::elimination_flops;
-use crate::ge::timed::{ge_timed_body, TimingOutcome};
 use crate::recover::{
-    checkpoint_stride, compose_segments, compose_traces, death_iteration, price_recoverable,
-    run_recoverable, survivor_shares, CheckpointRecording, CleanShape, DeathEvent, RecoveryOutcome,
+    compose_segments, compose_traces, death_iteration, run_recoverable, speeds_mflops,
+    survivor_shares, CheckpointCharges, CleanRecording, DeathEvent, RecoveryOutcome,
     RecoveryOverhead,
 };
 use crate::workload::ge_work;
 use hetpart::{repartition_after_deaths, CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
-use hetsim_cluster::faults::{
-    checkpoint_cost_secs, FaultPlan, RecoveryPolicy, DETECT_TIMEOUT_SECS,
-};
+use hetsim_cluster::faults::{FaultPlan, RecoveryPolicy, DETECT_TIMEOUT_SECS};
 use hetsim_cluster::network::NetworkModel;
 use hetsim_mpi::trace::RankTrace;
-use hetsim_mpi::{record_spmd, LocalInserts, SpmdTimer};
+use hetsim_mpi::{LocalInserts, SpmdTimer};
+use std::ops::Range;
 
 /// Bytes of one checkpointed augmented-matrix row: `n + 1` doubles.
 fn row_bytes(n: usize) -> u64 {
@@ -73,14 +71,14 @@ fn ge_elim_flops_range(rows: &[usize], n: usize, lo: usize, hi: usize) -> f64 {
 
 /// The checkpoint/restart charges of one run: at the head of iteration
 /// `i` (collective `2i`, its pivot broadcast) a checkpoint when
-/// `i > 0 && i % stride == 0`, then — at the death iteration — the
-/// detector timeout and each rank's lost-work replay. With no death and
-/// a stride past the last iteration there are none, and the run is the
-/// baseline.
+/// `i > 0` is a multiple of the stride, then — at the death iteration
+/// — the detector timeout and each rank's lost-work replay. With no
+/// death and no stride inside the run there are none, and the run is
+/// the baseline.
 fn ge_checkpoint_inserts(
     p: usize,
     iters: usize,
-    stride: usize,
+    stride: Option<usize>,
     death_iter: Option<usize>,
     lost_flops: &[f64],
     ckpt_bytes: &[u64],
@@ -88,7 +86,7 @@ fn ge_checkpoint_inserts(
     let mut inserts = LocalInserts::new(p);
     for i in 0..iters {
         let head = 2 * i as u64;
-        if i > 0 && i % stride == 0 {
+        if i > 0 && stride.is_some_and(|s| i % s == 0) {
             for (r, &bytes) in ckpt_bytes.iter().enumerate() {
                 inserts.checkpoint(r, head, 0, bytes);
             }
@@ -103,54 +101,29 @@ fn ge_checkpoint_inserts(
     inserts
 }
 
-/// Records the clean [`ge_timed_body`] a GE [`CheckpointRecording`]
-/// splices its charges into.
-pub(crate) fn record_clean(cluster: &ClusterSpec, n: usize) -> CheckpointRecording {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = CyclicDistribution::fine(n, &speeds);
-    let program = record_spmd(cluster, |t| ge_timed_body(t, &dist, n));
-    CheckpointRecording { cluster: cluster.clone(), n, shape: CleanShape::Ge(dist), program }
-}
-
-/// One checkpoint/restart run priced from the shared clean recording.
-pub(crate) fn ge_checkpoint<N: NetworkModel>(
-    recording: &CheckpointRecording,
+/// The charges a checkpoint/restart run splices into the clean
+/// [`crate::ge::ge_timed_body`] recording: checkpoints every `stride`
+/// iterations, and — when a death interrupts iteration `lost.end` —
+/// each rank's elimination work over the rolled-back iterations `lost`.
+pub(crate) fn checkpoint_charges(
     dist: &CyclicDistribution,
-    network: &N,
-    plan: &FaultPlan,
-    interval_secs: f64,
-    tracing: bool,
-) -> (RecoveryOutcome, Vec<RankTrace>) {
-    let CheckpointRecording { cluster, n, program, .. } = recording;
-    let (n, p) = (*n, cluster.size());
-    let iters = n.saturating_sub(1);
-    let total_flops = ge_work(n);
-    let death = death_iteration(plan, cluster, iters, total_flops);
-    let stride = checkpoint_stride(interval_secs, cluster, iters, total_flops);
+    n: usize,
+    stride: Option<usize>,
+    lost: Option<Range<usize>>,
+) -> CheckpointCharges {
+    let p = dist.p();
     let ckpt_bytes: Vec<u64> =
         (0..p).map(|r| dist.rows_of(r).len() as u64 * row_bytes(n)).collect();
-    let lost_flops: Vec<f64> = match death {
-        Some(ev) => {
-            let c = (ev.iteration / stride) * stride;
-            (0..p).map(|r| ge_elim_flops_range(&dist.rows_of(r), n, c, ev.iteration)).collect()
-        }
+    let lost_flops: Vec<f64> = match &lost {
+        Some(range) => (0..p)
+            .map(|r| ge_elim_flops_range(&dist.rows_of(r), n, range.start, range.end))
+            .collect(),
         None => vec![0.0; p],
     };
-    let death_iter = death.map(|ev| ev.iteration);
+    let death_iter = lost.map(|range| range.end);
+    let iters = n.saturating_sub(1);
     let inserts = ge_checkpoint_inserts(p, iters, stride, death_iter, &lost_flops, &ckpt_bytes);
-    let mut outcome = price_recoverable(program, cluster, network, plan, tracing, Some(&inserts));
-    let traces = std::mem::take(&mut outcome.traces);
-
-    let speed_flops = cluster.nodes().iter().map(|nd| nd.marked_speed_flops());
-    let num_ckpts = if iters > 1 { (iters - 1) / stride } else { 0 };
-    let overhead = RecoveryOverhead {
-        checkpoint_secs: num_ckpts as f64
-            * ckpt_bytes.iter().map(|&b| checkpoint_cost_secs(b)).sum::<f64>(),
-        detect_secs: if death.is_some() { p as f64 * DETECT_TIMEOUT_SECS } else { 0.0 },
-        lost_work_secs: lost_flops.iter().zip(speed_flops).map(|(&l, s)| l / s).sum(),
-        rebalance_secs: 0.0,
-    };
-    (RecoveryOutcome { timing: TimingOutcome::from_spmd(outcome), overhead, death }, traces)
+    CheckpointCharges { ckpt_bytes, lost_flops, inserts }
 }
 
 /// Shrink-rebalance segment A: stage 1 plus elimination iterations
@@ -249,33 +222,16 @@ fn ge_recoverable<N: NetworkModel>(
     n: usize,
     tracing: bool,
 ) -> (RecoveryOutcome, Vec<RankTrace>) {
-    match policy {
-        RecoveryPolicy::CheckpointRestart { interval_secs } => {
-            record_clean(cluster, n).price(network, plan, interval_secs, tracing)
-        }
+    let checkpoint_secs = match policy {
+        RecoveryPolicy::CheckpointRestart { interval_secs } => Some(interval_secs),
         RecoveryPolicy::ShrinkRebalance => {
-            let speeds: Vec<f64> =
-                cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-            let dist = CyclicDistribution::fine(n, &speeds);
-            match death_iteration(plan, cluster, n.saturating_sub(1), ge_work(n)) {
-                None => {
-                    let mut outcome = run_recoverable(cluster, network, plan, tracing, |t| {
-                        ge_timed_body(t, &dist, n)
-                    });
-                    let traces = std::mem::take(&mut outcome.traces);
-                    (
-                        RecoveryOutcome {
-                            timing: TimingOutcome::from_spmd(outcome),
-                            overhead: RecoveryOverhead::default(),
-                            death: None,
-                        },
-                        traces,
-                    )
-                }
-                Some(ev) => ge_shrink(cluster, network, plan, n, &dist, ev, tracing),
+            if let Some(ev) = death_iteration(plan, cluster, n.saturating_sub(1), ge_work(n)) {
+                return ge_shrink(cluster, network, plan, n, ev, tracing);
             }
+            None
         }
-    }
+    };
+    CleanRecording::ge(cluster, n).price(network, plan, checkpoint_secs, tracing)
 }
 
 fn ge_shrink<N: NetworkModel>(
@@ -283,13 +239,13 @@ fn ge_shrink<N: NetworkModel>(
     network: &N,
     plan: &FaultPlan,
     n: usize,
-    dist: &CyclicDistribution,
     ev: DeathEvent,
     tracing: bool,
 ) -> (RecoveryOutcome, Vec<RankTrace>) {
     let p = cluster.size();
     let k = ev.iteration;
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+    let speeds = speeds_mflops(cluster);
+    let dist = CyclicDistribution::fine(n, &speeds);
 
     let death_plan = plan.clone().with_death(ev.rank, ev.time);
     let surv_cluster = death_plan
@@ -309,7 +265,8 @@ fn ge_shrink<N: NetworkModel>(
     let moved_in_bytes: Vec<u64> =
         repart.moved_in_rows.iter().map(|&r| r as u64 * row_bytes(n)).collect();
 
-    let mut a = run_recoverable(cluster, network, plan, tracing, |t| ge_prefix_body(t, dist, n, k));
+    let mut a =
+        run_recoverable(cluster, network, plan, tracing, |t| ge_prefix_body(t, &dist, n, k));
     let mut b = run_recoverable(&surv_cluster, network, &surv_plan, tracing, |t| {
         ge_resume_body(t, &surv_dist, n, k, &lost_share, &moved_in_bytes)
     });
@@ -337,9 +294,11 @@ fn ge_shrink<N: NetworkModel>(
 mod tests {
     use super::*;
     use crate::ge::ge_parallel_timed;
+    use crate::ge::timed::{ge_timed_body, TimingOutcome};
+    use crate::recover::checkpoint_stride;
     use hetsim_cluster::network::SharedEthernet;
     use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::{run_spmd, PriceSpec};
+    use hetsim_mpi::{record_spmd, run_spmd, PriceSpec};
 
     /// The explicit checkpoint/restart body the spliced recording
     /// replaced — kept as the reference the splice is pinned to: the
@@ -432,7 +391,7 @@ mod tests {
         let n = 20;
         for (stride, death_iter) in SPLICE_CASES {
             let (dist, lost, bytes) = splice_inputs(&cluster, n, stride, death_iter);
-            let inserts = ge_checkpoint_inserts(3, n - 1, stride, death_iter, &lost, &bytes);
+            let inserts = ge_checkpoint_inserts(3, n - 1, Some(stride), death_iter, &lost, &bytes);
             let clean = record_spmd(&cluster, |t| ge_timed_body(t, &dist, n));
             let explicit = record_spmd(&cluster, |t| {
                 ge_ckpt_body(t, &dist, n, stride, death_iter, &lost, &bytes)
@@ -451,7 +410,7 @@ mod tests {
         let plan = FaultPlan::new(9).with_straggler(1, 0.5).with_link_drops(150);
         for (stride, death_iter) in SPLICE_CASES {
             let (dist, lost, bytes) = splice_inputs(&cluster, n, stride, death_iter);
-            let inserts = ge_checkpoint_inserts(3, n - 1, stride, death_iter, &lost, &bytes);
+            let inserts = ge_checkpoint_inserts(3, n - 1, Some(stride), death_iter, &lost, &bytes);
             let clean = record_spmd(&cluster, |t| ge_timed_body(t, &dist, n));
             let body = |rank: &mut hetsim_mpi::Rank<'_>| {
                 ge_ckpt_body(rank, &dist, n, stride, death_iter, &lost, &bytes)
@@ -479,14 +438,14 @@ mod tests {
     fn one_recording_prices_every_checkpoint_cell() {
         let cluster = het3();
         let n = 40;
-        let recording = CheckpointRecording::ge(&cluster, n);
+        let recording = CleanRecording::ge(&cluster, n);
         let est = crate::recover::estimated_run_secs(&cluster, ge_work(n));
         for seed in 0..6u64 {
             let plan = FaultPlan::new(seed).with_mtbf(3.0 * est);
             for interval in [est / 16.0, est / 3.0, est * 2.0] {
                 let policy = RecoveryPolicy::CheckpointRestart { interval_secs: interval };
                 assert_eq!(
-                    recording.checkpoint_restart(&net(), &plan, interval),
+                    recording.recover(&net(), &plan, Some(interval)),
                     ge_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n),
                     "seed {seed}, interval {interval}"
                 );

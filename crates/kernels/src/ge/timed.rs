@@ -18,6 +18,7 @@
 //! executing the *same generic body*.
 
 use crate::analytic::{elimination_flops, ge_closed_form};
+use crate::recover::CleanRecording;
 use hetpart::{CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
@@ -25,8 +26,7 @@ use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
 use hetsim_mpi::trace::RankTrace;
 use hetsim_mpi::{
-    record_spmd, run_spmd_fast, run_spmd_fast_faulted, run_spmd_fast_faulted_traced,
-    run_spmd_fast_traced, SpmdOutcome, SpmdProgram, SpmdTimer, Tag,
+    run_spmd_fast, run_spmd_fast_faulted_traced, run_spmd_fast_traced, SpmdOutcome, SpmdTimer, Tag,
 };
 
 /// Timing result of a protocol-skeleton run.
@@ -137,16 +137,15 @@ pub fn ge_parallel_timed_traced<N: NetworkModel>(
 /// [`ge_parallel_timed`] under a deterministic [`FaultPlan`]: degraded
 /// speeds stretch elimination compute, link drops charge retry time.
 /// Deaths must already be resolved (run on the surviving cluster).
+/// A one-cell [`CleanRecording`]; sweeps pricing many plans at one
+/// size share the recording instead.
 pub fn ge_parallel_timed_faulted<N: NetworkModel>(
     cluster: &ClusterSpec,
     network: &N,
     plan: &FaultPlan,
     n: usize,
 ) -> TimingOutcome {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = CyclicDistribution::fine(n, &speeds);
-    let outcome = run_spmd_fast_faulted(cluster, network, plan, |t| ge_timed_body(t, &dist, n));
-    TimingOutcome::from_spmd(outcome)
+    CleanRecording::ge(cluster, n).faulted(network, plan)
 }
 
 /// [`ge_parallel_timed_faulted`] with per-rank tracing (retry charges
@@ -163,45 +162,6 @@ pub fn ge_parallel_timed_faulted_traced<N: NetworkModel>(
         run_spmd_fast_faulted_traced(cluster, network, plan, |t| ge_timed_body(t, &dist, n));
     let traces = std::mem::take(&mut outcome.traces);
     (TimingOutcome::from_spmd(outcome), traces)
-}
-
-/// A GE protocol skeleton recorded once for one `(cluster, n)` pair,
-/// replayable under many network models.
-///
-/// The recorded op stream (message sizes, charged flops, collective
-/// schedule) depends only on the cluster's speeds and `n` — never on
-/// the network — so studies that price the *same* configuration under
-/// many cost models (e.g. the frozen-noise campaigns, which sweep
-/// dozens of jittered networks over one ladder) can skip the repeated
-/// record phase. Each [`simulate`](GeRecording::simulate) is
-/// bit-identical to a fresh [`ge_parallel_timed`] run on the same
-/// inputs (replay is the same engine phase either way).
-pub struct GeRecording {
-    cluster: ClusterSpec,
-    n: usize,
-    program: SpmdProgram<()>,
-}
-
-impl GeRecording {
-    /// Records the GE skeleton at problem size `n` with the standard
-    /// speed-proportional cyclic distribution.
-    pub fn record(cluster: &ClusterSpec, n: usize) -> GeRecording {
-        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-        let dist = CyclicDistribution::fine(n, &speeds);
-        let program = record_spmd(cluster, |t| ge_timed_body(t, &dist, n));
-        GeRecording { cluster: cluster.clone(), n, program }
-    }
-
-    /// The recorded problem size.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Replays the recording under `network` — bit-identical to
-    /// [`ge_parallel_timed`] on the recording's cluster and size.
-    pub fn simulate<N: NetworkModel>(&self, network: &N) -> TimingOutcome {
-        TimingOutcome::from_spmd(self.program.simulate(&self.cluster, network))
-    }
 }
 
 /// The GE protocol skeleton as a generic [`SpmdTimer`] body — the
@@ -254,7 +214,7 @@ mod tests {
     use crate::matrix::Matrix;
     use hetsim_cluster::network::SharedEthernet;
     use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::{run_spmd, run_spmd_faulted};
+    use hetsim_mpi::{record_spmd, run_spmd, run_spmd_faulted};
 
     fn het3() -> ClusterSpec {
         ClusterSpec::new(

@@ -76,7 +76,7 @@ pub use mm::{
     mm_parallel_timed_recoverable_traced, mm_sequential, MmOutcome,
 };
 pub use power::{power_parallel, power_parallel_timed, power_sequential, power_work, PowerOutcome};
-pub use recover::{CheckpointRecording, DeathEvent, RecoveryOutcome, RecoveryOverhead};
+pub use recover::{CleanRecording, DeathEvent, RecoveryOutcome, RecoveryOverhead};
 pub use stencil::{
     jacobi_sequential, stencil_parallel, stencil_parallel_timed, stencil_work, StencilOutcome,
 };

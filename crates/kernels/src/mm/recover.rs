@@ -8,33 +8,29 @@
 //! the recoverable variant splits the multiply into `n` virtual
 //! column-chunks of `flops / n` each and splices checkpoint, detect, and
 //! recovery charges in at chunk boundaries — offsets into the local run
-//! before the gather (collective 1), so one clean chunked recording
-//! serves every checkpoint/restart run ([`CheckpointRecording`]). The
-//! split changes the
-//! float-op sequence, so a recoverable run with *any* checkpoint or
-//! death is a different (still deterministic) program than the
-//! baseline; with no checkpoints and no death the driver records the
-//! baseline body and the outcomes are bit-equal. A shrink run's resume
-//! segment prices the remaining `n - k` chunks under the survivor
-//! distribution — a uniform-progress approximation of migrating the
-//! partial product.
+//! before the gather (collective 1), so one chunked recording serves
+//! every checkpoint/restart run of a [`CleanRecording`]. The split
+//! changes the float-op sequence, so a recoverable run with *any*
+//! checkpoint or death is a different (still deterministic) program
+//! than the baseline; a run with no checkpoint and no death prices the
+//! recording's baseline program, and the outcomes are bit-equal. A
+//! shrink run's resume segment prices the remaining `n - k` chunks
+//! under the survivor distribution — a uniform-progress approximation
+//! of migrating the partial product.
 
-use crate::ge::timed::TimingOutcome;
-use crate::mm::timed::mm_timed_body;
 use crate::recover::{
-    checkpoint_stride, compose_segments, compose_traces, death_iteration, price_recoverable,
-    run_recoverable, survivor_shares, CheckpointRecording, CleanShape, DeathEvent, RecoveryOutcome,
+    compose_segments, compose_traces, death_iteration, run_recoverable, speeds_mflops,
+    survivor_shares, CheckpointCharges, CleanRecording, DeathEvent, RecoveryOutcome,
     RecoveryOverhead,
 };
 use crate::workload::mm_work;
-use hetpart::{repartition_after_deaths, BlockDistribution};
+use hetpart::{repartition_after_deaths, BlockDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
-use hetsim_cluster::faults::{
-    checkpoint_cost_secs, FaultPlan, RecoveryPolicy, DETECT_TIMEOUT_SECS,
-};
+use hetsim_cluster::faults::{FaultPlan, RecoveryPolicy, DETECT_TIMEOUT_SECS};
 use hetsim_cluster::network::NetworkModel;
 use hetsim_mpi::trace::RankTrace;
-use hetsim_mpi::{record_spmd, LocalInserts, SpmdTimer, Tag};
+use hetsim_mpi::{record_spmd, LocalInserts, SpmdProgram, SpmdTimer, Tag};
+use std::ops::Range;
 
 /// Bytes of one matrix row: `n` doubles.
 fn row_bytes(n: usize) -> u64 {
@@ -75,12 +71,12 @@ fn mm_chunked_body<T: SpmdTimer>(rank: &mut T, dist: &BlockDistribution, n: usiz
 
 /// The checkpoint/restart charges of one run, at chunk heads of the
 /// local run before the gather (collective 1; the B broadcast is 0): a
-/// checkpoint before chunk `j` when `j > 0 && j % stride == 0`, then —
-/// at the death chunk — the detector timeout and each rank's lost-work
-/// replay.
+/// checkpoint before chunk `j` when `j > 0` is a multiple of the
+/// stride, then — at the death chunk — the detector timeout and each
+/// rank's lost-work replay.
 fn mm_checkpoint_inserts(
     n: usize,
-    stride: usize,
+    stride: Option<usize>,
     death_iter: Option<usize>,
     lost_flops: &[f64],
     ckpt_bytes: &[u64],
@@ -88,7 +84,7 @@ fn mm_checkpoint_inserts(
     const GATHER: u64 = 1;
     let mut inserts = LocalInserts::new(ckpt_bytes.len());
     for j in 0..n {
-        if j > 0 && j % stride == 0 {
+        if j > 0 && stride.is_some_and(|s| j % s == 0) {
             for (r, &bytes) in ckpt_bytes.iter().enumerate() {
                 inserts.checkpoint(r, GATHER, j, bytes);
             }
@@ -103,69 +99,38 @@ fn mm_checkpoint_inserts(
     inserts
 }
 
-/// Records the clean [`mm_chunked_body`] an MM [`CheckpointRecording`]
-/// splices its charges into.
-pub(crate) fn record_clean(cluster: &ClusterSpec, n: usize) -> CheckpointRecording {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = BlockDistribution::proportional(n, &speeds);
-    let program = record_spmd(cluster, |t| mm_chunked_body(t, &dist, n));
-    CheckpointRecording { cluster: cluster.clone(), n, shape: CleanShape::Mm(dist), program }
+/// Records the chunked multiply a checkpointed MM run splices its
+/// charges into.
+pub(crate) fn record_chunked(
+    cluster: &ClusterSpec,
+    dist: &BlockDistribution,
+    n: usize,
+) -> SpmdProgram<()> {
+    record_spmd(cluster, |t| mm_chunked_body(t, dist, n))
 }
 
-/// One checkpoint/restart run priced from the shared clean recording;
-/// a run with neither a checkpoint nor a death records the baseline
-/// body instead, so it stays bit-equal to the plain timed run.
-pub(crate) fn mm_checkpoint<N: NetworkModel>(
-    recording: &CheckpointRecording,
+/// The charges a checkpoint/restart run splices into the chunked
+/// recording: checkpoints every `stride` chunks, and — when a death
+/// interrupts chunk `lost.end` — each rank's share of the rolled-back
+/// chunks `lost`.
+pub(crate) fn checkpoint_charges(
     dist: &BlockDistribution,
-    network: &N,
-    plan: &FaultPlan,
-    interval_secs: f64,
-    tracing: bool,
-) -> (RecoveryOutcome, Vec<RankTrace>) {
-    let CheckpointRecording { cluster, n, program, .. } = recording;
-    let (n, p) = (*n, cluster.size());
-    let total_flops = mm_work(n);
-    let death = death_iteration(plan, cluster, n, total_flops);
-    let stride = checkpoint_stride(interval_secs, cluster, n, total_flops);
-    let any_ckpt = n > 1 && stride < n;
-    if death.is_none() && !any_ckpt {
-        let mut outcome =
-            run_recoverable(cluster, network, plan, tracing, |t| mm_timed_body(t, dist, n));
-        let traces = std::mem::take(&mut outcome.traces);
-        return (
-            RecoveryOutcome {
-                timing: TimingOutcome::from_spmd(outcome),
-                overhead: RecoveryOverhead::default(),
-                death: None,
-            },
-            traces,
-        );
-    }
+    n: usize,
+    stride: Option<usize>,
+    lost: Option<Range<usize>>,
+) -> CheckpointCharges {
+    let p = dist.p();
     let ckpt_bytes: Vec<u64> =
         (0..p).map(|r| dist.range_of(r).len() as u64 * row_bytes(n)).collect();
-    let lost_flops: Vec<f64> = match death {
-        Some(ev) => {
-            let c = (ev.iteration / stride) * stride;
-            (0..p).map(|r| (ev.iteration - c) as f64 * (mm_flops(dist, r, n) / n as f64)).collect()
-        }
+    let lost_flops: Vec<f64> = match &lost {
+        Some(range) => (0..p)
+            .map(|r| (range.end - range.start) as f64 * (mm_flops(dist, r, n) / n as f64))
+            .collect(),
         None => vec![0.0; p],
     };
-    let death_iter = death.map(|ev| ev.iteration);
+    let death_iter = lost.map(|range| range.end);
     let inserts = mm_checkpoint_inserts(n, stride, death_iter, &lost_flops, &ckpt_bytes);
-    let mut outcome = price_recoverable(program, cluster, network, plan, tracing, Some(&inserts));
-    let traces = std::mem::take(&mut outcome.traces);
-
-    let speed_flops = cluster.nodes().iter().map(|nd| nd.marked_speed_flops());
-    let num_ckpts = if n > 1 { (n - 1) / stride } else { 0 };
-    let overhead = RecoveryOverhead {
-        checkpoint_secs: num_ckpts as f64
-            * ckpt_bytes.iter().map(|&b| checkpoint_cost_secs(b)).sum::<f64>(),
-        detect_secs: if death.is_some() { p as f64 * DETECT_TIMEOUT_SECS } else { 0.0 },
-        lost_work_secs: lost_flops.iter().zip(speed_flops).map(|(&l, s)| l / s).sum(),
-        rebalance_secs: 0.0,
-    };
-    (RecoveryOutcome { timing: TimingOutcome::from_spmd(outcome), overhead, death }, traces)
+    CheckpointCharges { ckpt_bytes, lost_flops, inserts }
 }
 
 /// Shrink-rebalance segment A: distribution, broadcast, and the first
@@ -246,33 +211,16 @@ fn mm_recoverable<N: NetworkModel>(
     n: usize,
     tracing: bool,
 ) -> (RecoveryOutcome, Vec<RankTrace>) {
-    match policy {
-        RecoveryPolicy::CheckpointRestart { interval_secs } => {
-            record_clean(cluster, n).price(network, plan, interval_secs, tracing)
-        }
+    let checkpoint_secs = match policy {
+        RecoveryPolicy::CheckpointRestart { interval_secs } => Some(interval_secs),
         RecoveryPolicy::ShrinkRebalance => {
-            let speeds: Vec<f64> =
-                cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-            let dist = BlockDistribution::proportional(n, &speeds);
-            match death_iteration(plan, cluster, n, mm_work(n)) {
-                None => {
-                    let mut outcome = run_recoverable(cluster, network, plan, tracing, |t| {
-                        mm_timed_body(t, &dist, n)
-                    });
-                    let traces = std::mem::take(&mut outcome.traces);
-                    (
-                        RecoveryOutcome {
-                            timing: TimingOutcome::from_spmd(outcome),
-                            overhead: RecoveryOverhead::default(),
-                            death: None,
-                        },
-                        traces,
-                    )
-                }
-                Some(ev) => mm_shrink(cluster, network, plan, n, &dist, ev, tracing),
+            if let Some(ev) = death_iteration(plan, cluster, n, mm_work(n)) {
+                return mm_shrink(cluster, network, plan, n, ev, tracing);
             }
+            None
         }
-    }
+    };
+    CleanRecording::mm(cluster, n).price(network, plan, checkpoint_secs, tracing)
 }
 
 fn mm_shrink<N: NetworkModel>(
@@ -280,13 +228,13 @@ fn mm_shrink<N: NetworkModel>(
     network: &N,
     plan: &FaultPlan,
     n: usize,
-    dist: &BlockDistribution,
     ev: DeathEvent,
     tracing: bool,
 ) -> (RecoveryOutcome, Vec<RankTrace>) {
     let p = cluster.size();
     let k = ev.iteration;
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+    let speeds = speeds_mflops(cluster);
+    let dist = BlockDistribution::proportional(n, &speeds);
 
     let death_plan = plan.clone().with_death(ev.rank, ev.time);
     let surv_cluster = death_plan
@@ -301,12 +249,13 @@ fn mm_shrink<N: NetworkModel>(
         surv_cluster.nodes().iter().map(|nd| nd.marked_speed_flops()).collect();
     let surv_dist = BlockDistribution::proportional(n, &surv_speeds);
 
-    let lost_total = k as f64 * (mm_flops(dist, ev.rank, n) / n as f64);
+    let lost_total = k as f64 * (mm_flops(&dist, ev.rank, n) / n as f64);
     let lost_share = survivor_shares(lost_total, &surv_speed_flops);
     let moved_in_bytes: Vec<u64> =
         repart.moved_in_rows.iter().map(|&r| r as u64 * row_bytes(n)).collect();
 
-    let mut a = run_recoverable(cluster, network, plan, tracing, |t| mm_prefix_body(t, dist, n, k));
+    let mut a =
+        run_recoverable(cluster, network, plan, tracing, |t| mm_prefix_body(t, &dist, n, k));
     let mut b = run_recoverable(&surv_cluster, network, &surv_plan, tracing, |t| {
         mm_resume_body(t, &surv_dist, n, k, &lost_share, &moved_in_bytes)
     });
@@ -333,7 +282,9 @@ fn mm_shrink<N: NetworkModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ge::TimingOutcome;
     use crate::mm::mm_parallel_timed;
+    use crate::recover::checkpoint_stride;
     use hetsim_cluster::network::SharedEthernet;
     use hetsim_cluster::NodeSpec;
     use hetsim_mpi::{run_spmd, PriceSpec};
@@ -420,7 +371,7 @@ mod tests {
         let n = 18;
         for (stride, death_iter) in SPLICE_CASES {
             let (dist, lost, bytes) = splice_inputs(&cluster, n, stride, death_iter);
-            let inserts = mm_checkpoint_inserts(n, stride, death_iter, &lost, &bytes);
+            let inserts = mm_checkpoint_inserts(n, Some(stride), death_iter, &lost, &bytes);
             let clean = record_spmd(&cluster, |t| mm_chunked_body(t, &dist, n));
             let explicit = record_spmd(&cluster, |t| {
                 mm_ckpt_body(t, &dist, n, stride, death_iter, &lost, &bytes)
@@ -439,7 +390,7 @@ mod tests {
         let plan = FaultPlan::new(9).with_straggler(2, 0.5).with_link_drops(150);
         for (stride, death_iter) in SPLICE_CASES {
             let (dist, lost, bytes) = splice_inputs(&cluster, n, stride, death_iter);
-            let inserts = mm_checkpoint_inserts(n, stride, death_iter, &lost, &bytes);
+            let inserts = mm_checkpoint_inserts(n, Some(stride), death_iter, &lost, &bytes);
             let clean = record_spmd(&cluster, |t| mm_chunked_body(t, &dist, n));
             let body = |rank: &mut hetsim_mpi::Rank<'_>| {
                 mm_ckpt_body(rank, &dist, n, stride, death_iter, &lost, &bytes)
@@ -467,7 +418,7 @@ mod tests {
     fn one_recording_prices_every_checkpoint_cell() {
         let cluster = het3();
         let n = 30;
-        let recording = CheckpointRecording::mm(&cluster, n);
+        let recording = CleanRecording::mm(&cluster, n);
         let est = crate::recover::estimated_run_secs(&cluster, mm_work(n));
         for seed in 0..6u64 {
             let plan = FaultPlan::new(seed).with_mtbf(3.0 * est);
@@ -476,7 +427,7 @@ mod tests {
             for interval in [est / 16.0, est / 3.0, est * 2.0] {
                 let policy = RecoveryPolicy::CheckpointRestart { interval_secs: interval };
                 assert_eq!(
-                    recording.checkpoint_restart(&net(), &plan, interval),
+                    recording.recover(&net(), &plan, Some(interval)),
                     mm_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n),
                     "seed {seed}, interval {interval}"
                 );

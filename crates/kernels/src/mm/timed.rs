@@ -3,14 +3,14 @@
 //! why this is timing-exact and how the two engines relate.
 
 use crate::ge::TimingOutcome;
+use crate::recover::CleanRecording;
 use hetpart::{BlockDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_mpi::trace::RankTrace;
 use hetsim_mpi::{
-    run_spmd_fast, run_spmd_fast_faulted, run_spmd_fast_faulted_traced, run_spmd_fast_traced,
-    SpmdTimer, Tag,
+    run_spmd_fast, run_spmd_fast_faulted_traced, run_spmd_fast_traced, SpmdTimer, Tag,
 };
 
 /// Runs the MM communication/computation skeleton at problem size `n`
@@ -62,17 +62,15 @@ pub fn mm_parallel_timed_traced<N: NetworkModel>(
 }
 
 /// [`mm_parallel_timed`] under a deterministic [`FaultPlan`] (see
-/// [`crate::ge::ge_parallel_timed_faulted`] for semantics).
+/// [`crate::ge::ge_parallel_timed_faulted`] for semantics): a one-cell
+/// [`CleanRecording`].
 pub fn mm_parallel_timed_faulted<N: NetworkModel>(
     cluster: &ClusterSpec,
     network: &N,
     plan: &FaultPlan,
     n: usize,
 ) -> TimingOutcome {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = BlockDistribution::proportional(n, &speeds);
-    let outcome = run_spmd_fast_faulted(cluster, network, plan, |t| mm_timed_body(t, &dist, n));
-    TimingOutcome::from_spmd(outcome)
+    CleanRecording::mm(cluster, n).faulted(network, plan)
 }
 
 /// [`mm_parallel_timed_faulted`] with per-rank tracing.

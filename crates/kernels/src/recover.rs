@@ -15,18 +15,24 @@
 //! Checkpoint/restart never changes a kernel's communication: its
 //! checkpoint, detector-timeout and lost-work charges are local ops at
 //! iteration heads. So a checkpoint/restart run is the kernel's *clean*
-//! recording plus those charges spliced in ([`LocalInserts`]), and one
-//! [`CheckpointRecording`] prices any number of such runs — the Daly
-//! campaign's whole seed × interval grid — from a single record phase.
+//! recording plus those charges spliced in ([`LocalInserts`]). Runtime
+//! faults, likewise, change only how the engine charges the recorded
+//! ops. So one [`CleanRecording`] per `(kernel, cluster, n)` prices
+//! every fault plan and checkpoint policy of that cell — the `--faults`
+//! severities, the recovery sweep's clean and checkpoint/restart rows,
+//! the Daly campaign's whole seed × interval grid — from a single
+//! record phase.
 
 use crate::ge::TimingOutcome;
+use crate::workload::{ge_work, mm_work};
 use hetpart::{BlockDistribution, CyclicDistribution};
 use hetsim_cluster::cluster::ClusterSpec;
-use hetsim_cluster::faults::FaultPlan;
+use hetsim_cluster::faults::{checkpoint_cost_secs, FaultPlan, DETECT_TIMEOUT_SECS};
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
 use hetsim_mpi::trace::RankTrace;
 use hetsim_mpi::{record_spmd, LocalInserts, PriceSpec, RecordTimer, SpmdOutcome, SpmdProgram};
+use std::sync::OnceLock;
 
 /// The plan's earliest sampled death, resolved onto the driver's
 /// iteration axis.
@@ -179,70 +185,158 @@ where
     price_recoverable(&record_spmd(cluster, body), cluster, network, plan, tracing, None)
 }
 
-/// The distribution a [`CheckpointRecording`] was recorded under,
-/// which names its kernel.
-pub(crate) enum CleanShape {
-    /// GE: the elimination skeleton under the fine cyclic deal.
+/// The distribution a [`CleanRecording`] was recorded under, which
+/// names its kernel.
+enum CleanShape {
+    /// GE: the elimination skeleton under the fine cyclic deal. Its
+    /// checkpoint/restart runs splice their charges into the clean
+    /// program itself.
     Ge(CyclicDistribution),
-    /// MM: the chunked multiply under the proportional block split.
-    Mm(BlockDistribution),
+    /// MM: the baseline multiply under the proportional block split.
+    /// Checkpointed runs need the multiply split into column chunks (a
+    /// different float-op sequence), so that program is recorded on
+    /// first use and then shared like the clean one.
+    Mm { dist: BlockDistribution, chunked: OnceLock<SpmdProgram<()>> },
 }
 
-/// A recoverable kernel's clean program, recorded once for one
-/// `(cluster, n)` and priced under any number of checkpoint/restart
-/// cells. Each cell splices its own checkpoint, detect and lost-work
-/// charges into the shared recording instead of recording a program of
-/// its own; every pricing is bit-identical to
+/// The per-rank checkpoint/restart charges of one run on a
+/// [`CleanRecording`], spliced in as [`LocalInserts`].
+pub(crate) struct CheckpointCharges {
+    /// Bytes each rank writes per coordinated checkpoint.
+    pub(crate) ckpt_bytes: Vec<u64>,
+    /// Flops each rank replays after the death (all zero without one).
+    pub(crate) lost_flops: Vec<f64>,
+    /// The checkpoint, detect and lost-work ops at their positions.
+    pub(crate) inserts: LocalInserts,
+}
+
+/// A kernel's clean program, recorded once for one `(cluster, n)` and
+/// priced under any number of fault plans and checkpoint policies —
+/// the record-once type of GE and MM (DESIGN.md §12).
+///
+/// A fault plan's runtime faults change only how the engine charges
+/// the program's ops, and checkpoint/restart only splices local
+/// checkpoint, detect and lost-work charges into it, so neither needs
+/// a recording of its own. Every pricing is bit-identical to the
+/// per-cell entry point it replaces: [`faulted`](Self::faulted) to
+/// [`crate::ge::ge_parallel_timed_faulted`] /
+/// [`crate::mm::mm_parallel_timed_faulted`], and
+/// [`recover`](Self::recover) to the checkpoint/restart policy (and
+/// the death-free runs of either policy) of
 /// [`crate::ge::ge_parallel_timed_recoverable`] /
-/// [`crate::mm::mm_parallel_timed_recoverable`] under the same plan and
-/// checkpoint-restart policy (DESIGN.md §12).
-pub struct CheckpointRecording {
-    pub(crate) cluster: ClusterSpec,
-    pub(crate) n: usize,
-    pub(crate) shape: CleanShape,
-    pub(crate) program: SpmdProgram<()>,
+/// [`crate::mm::mm_parallel_timed_recoverable`].
+pub struct CleanRecording {
+    cluster: ClusterSpec,
+    n: usize,
+    shape: CleanShape,
+    program: SpmdProgram<()>,
 }
 
-impl CheckpointRecording {
+impl CleanRecording {
     /// Records GE's clean elimination skeleton at size `n`.
-    pub fn ge(cluster: &ClusterSpec, n: usize) -> CheckpointRecording {
-        crate::ge::recover::record_clean(cluster, n)
+    pub fn ge(cluster: &ClusterSpec, n: usize) -> CleanRecording {
+        let dist = CyclicDistribution::fine(n, &speeds_mflops(cluster));
+        let program = record_spmd(cluster, |t| crate::ge::ge_timed_body(t, &dist, n));
+        CleanRecording { cluster: cluster.clone(), n, shape: CleanShape::Ge(dist), program }
     }
 
-    /// Records MM's clean chunked multiply at size `n`.
-    pub fn mm(cluster: &ClusterSpec, n: usize) -> CheckpointRecording {
-        crate::mm::recover::record_clean(cluster, n)
+    /// Records MM's clean multiply at size `n`.
+    pub fn mm(cluster: &ClusterSpec, n: usize) -> CleanRecording {
+        let dist = BlockDistribution::proportional(n, &speeds_mflops(cluster));
+        let program = record_spmd(cluster, |t| crate::mm::mm_timed_body(t, &dist, n));
+        let shape = CleanShape::Mm { dist, chunked: OnceLock::new() };
+        CleanRecording { cluster: cluster.clone(), n, shape, program }
     }
 
-    /// Prices one checkpoint/restart run every `interval_secs` under
-    /// `plan`'s MTBF stream (and runtime faults, if any).
-    pub fn checkpoint_restart<N: NetworkModel>(
+    /// Prices the clean program under `plan`'s runtime faults
+    /// (degradation windows, lossy links); its MTBF stream is not
+    /// consulted. Deaths must already be resolved: record on the
+    /// surviving cluster.
+    pub fn faulted<N: NetworkModel>(&self, network: &N, plan: &FaultPlan) -> TimingOutcome {
+        let spec = PriceSpec { faults: Some(plan), tracing: false, inserts: None };
+        TimingOutcome::from_spmd(self.program.price(&self.cluster, network, spec))
+    }
+
+    /// Prices one run under `plan`'s MTBF stream and runtime faults,
+    /// with a coordinated checkpoint every `checkpoint_secs` when one
+    /// is given. A death rolls every rank back to the last checkpoint
+    /// (to the start of the run without one) and replays the lost
+    /// work on the full cluster. A run with neither a death nor a
+    /// checkpoint is the clean program, bit for bit.
+    ///
+    /// # Panics
+    /// Panics unless a given `checkpoint_secs` is finite and `> 0`.
+    pub fn recover<N: NetworkModel>(
         &self,
         network: &N,
         plan: &FaultPlan,
-        interval_secs: f64,
+        checkpoint_secs: Option<f64>,
     ) -> RecoveryOutcome {
-        self.price(network, plan, interval_secs, false).0
+        self.price(network, plan, checkpoint_secs, false).0
     }
 
-    /// [`checkpoint_restart`](Self::checkpoint_restart), optionally
-    /// traced.
+    /// [`recover`](Self::recover), optionally traced.
     pub(crate) fn price<N: NetworkModel>(
         &self,
         network: &N,
         plan: &FaultPlan,
-        interval_secs: f64,
+        checkpoint_secs: Option<f64>,
         tracing: bool,
     ) -> (RecoveryOutcome, Vec<RankTrace>) {
-        match &self.shape {
-            CleanShape::Ge(dist) => {
-                crate::ge::recover::ge_checkpoint(self, dist, network, plan, interval_secs, tracing)
-            }
-            CleanShape::Mm(dist) => {
-                crate::mm::recover::mm_checkpoint(self, dist, network, plan, interval_secs, tracing)
-            }
+        let (cluster, n, p) = (&self.cluster, self.n, self.cluster.size());
+        let (iters, total_flops) = match self.shape {
+            CleanShape::Ge(_) => (n.saturating_sub(1), ge_work(n)),
+            CleanShape::Mm { .. } => (n, mm_work(n)),
+        };
+        let death = death_iteration(plan, cluster, iters, total_flops);
+        let stride = checkpoint_secs.map(|s| checkpoint_stride(s, cluster, iters, total_flops));
+        // A stride of `iters` or more places no checkpoint inside the run.
+        if death.is_none() && stride.is_none_or(|s| s >= iters) {
+            let mut outcome =
+                price_recoverable(&self.program, cluster, network, plan, tracing, None);
+            let traces = std::mem::take(&mut outcome.traces);
+            let timing = TimingOutcome::from_spmd(outcome);
+            return (
+                RecoveryOutcome { timing, overhead: RecoveryOverhead::default(), death: None },
+                traces,
+            );
         }
+        // Iterations rolled back by the death: from the last checkpoint
+        // at or before it.
+        let lost = death.map(|ev| stride.map_or(0, |s| (ev.iteration / s) * s)..ev.iteration);
+        let (program, charges) = match &self.shape {
+            CleanShape::Ge(dist) => {
+                (&self.program, crate::ge::recover::checkpoint_charges(dist, n, stride, lost))
+            }
+            CleanShape::Mm { dist, chunked } => (
+                chunked.get_or_init(|| crate::mm::recover::record_chunked(cluster, dist, n)),
+                crate::mm::recover::checkpoint_charges(dist, n, stride, lost),
+            ),
+        };
+        let CheckpointCharges { ckpt_bytes, lost_flops, inserts } = charges;
+        let mut outcome =
+            price_recoverable(program, cluster, network, plan, tracing, Some(&inserts));
+        let traces = std::mem::take(&mut outcome.traces);
+
+        let speed_flops = cluster.nodes().iter().map(|nd| nd.marked_speed_flops());
+        let num_ckpts = match stride {
+            Some(s) if iters > 1 => (iters - 1) / s,
+            _ => 0,
+        };
+        let overhead = RecoveryOverhead {
+            checkpoint_secs: num_ckpts as f64
+                * ckpt_bytes.iter().map(|&b| checkpoint_cost_secs(b)).sum::<f64>(),
+            detect_secs: if death.is_some() { p as f64 * DETECT_TIMEOUT_SECS } else { 0.0 },
+            lost_work_secs: lost_flops.iter().zip(speed_flops).map(|(&l, s)| l / s).sum(),
+            rebalance_secs: 0.0,
+        };
+        (RecoveryOutcome { timing: TimingOutcome::from_spmd(outcome), overhead, death }, traces)
     }
+}
+
+/// Per-rank marked speeds in Mflop/s, the distributions' input.
+pub(crate) fn speeds_mflops(cluster: &ClusterSpec) -> Vec<f64> {
+    cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect()
 }
 
 /// Composes a shrink-rebalance run's two segments into one
