@@ -1,9 +1,10 @@
 //! `bench-tables` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! bench-tables [--quick] [--faults] [--no-analytic] [--jobs N] [--list] [--csv DIR] [--trace-out DIR] [--metrics-out FILE] [--stats-out FILE] [--profile-out FILE] [ids...]
+//! bench-tables [--quick] [--faults] [--no-analytic] [--jobs N] [--seed N] [--list] [--csv DIR] [--trace-out DIR] [--metrics-out FILE] [--stats-out FILE] [--profile-out FILE] [ids...]
 //!   ids: t1 t2 f1 t3 t4 f2 t5 t6 t7 compare x2 decomp ablate-dist
-//!        ablate-net ablate-fit ablate-place ext-mp faults surface mega all   (default: all)
+//!        ablate-net ablate-fit ablate-place ablate-sched ablate-noise
+//!        validate baselines ext-mp faults recover surface mega all   (default: all)
 //! ```
 //!
 //! `--list` prints every id with a one-line description and exits.
@@ -24,6 +25,12 @@
 //! retry/timeout/backoff, and a declared node death — and reports
 //! scalability under each severity. It is opt-in: `all` excludes it.
 //!
+//! `recover` runs the R2 mid-run failure-recovery sweep: ψ retention
+//! under MTBF death streams for checkpoint/restart and
+//! shrink-rebalance, plus the measured-vs-Young/Daly checkpoint
+//! interval campaign. Also opt-in: `all` excludes it. `--seed N`
+//! re-bases every fault-plan seed of the `faults` and `recover` sweeps.
+//!
 //! `surface` runs the X3 ψ-surface sweep: every ordered rung pair of a
 //! scaled Sunwulf ladder (up to the whole 85-node machine), per kernel,
 //! with fitted-trend inversions per rung. Also opt-in: `all` excludes it.
@@ -33,6 +40,10 @@
 //! priced in O(classes) through the class-aggregated closed forms
 //! (under `--no-analytic`: materialized and priced per rank, affordable
 //! up to the 10⁵ preset). Also opt-in: `all` excludes it.
+//!
+//! `--csv DIR` writes one CSV file per emitted table, named after the
+//! title up to its dash; titles that share that prefix get `-2`, `-3`,
+//! ... in emission order.
 //!
 //! `--trace-out` writes Chrome-trace JSON plus round-trippable JSONL
 //! traces of one observed run per kernel; `--metrics-out` writes the
@@ -57,7 +68,7 @@ use bench_tables::experiments::{
 use bench_tables::stats::{self, IdSummaries};
 use bench_tables::stopwatch::Stopwatch;
 use bench_tables::{obs, ExperimentParams, Table};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// One wall-clock lap per id, plus (when `--stats-out` is active) a
@@ -77,8 +88,8 @@ impl Checkpoints {
 }
 
 /// Every experiment id the CLI accepts, with the one-line description
-/// `--list` prints. `faults` (via the id or `--faults`) and `surface`
-/// are opt-in: neither is part of `all`.
+/// `--list` prints. `faults` (via the id or `--faults`), `recover`,
+/// `surface` and `mega` are opt-in: none is part of `all`.
 const KNOWN_IDS_WITH_DESCRIPTIONS: &[(&str, &str)] = &[
     ("t1", "Table 1 — the Sunwulf node inventory and marked speeds"),
     ("t2", "Table 2 — GE speed-efficiency samples on the two-node system"),
@@ -393,6 +404,7 @@ fn main() {
     if let Some(dir) = csv_dir {
         std::fs::create_dir_all(&dir)
             .unwrap_or_else(|e| fail(&format!("cannot create csv directory {dir}: {e}")));
+        let mut seen: BTreeMap<String, usize> = BTreeMap::new();
         for table in &emitted {
             let slug: String = table
                 .title
@@ -401,7 +413,15 @@ fn main() {
                 .filter(|c| c.is_ascii_alphanumeric())
                 .collect::<String>()
                 .to_lowercase();
-            let path = format!("{dir}/{slug}.csv");
+            // Titles sharing a prefix (both recover tables) would
+            // overwrite each other: later ones get `-2`, `-3`, ... in
+            // emission order.
+            let count = seen.entry(slug.clone()).or_default();
+            *count += 1;
+            let path = match *count {
+                1 => format!("{dir}/{slug}.csv"),
+                k => format!("{dir}/{slug}-{k}.csv"),
+            };
             std::fs::write(&path, table.to_csv())
                 .unwrap_or_else(|e| fail(&format!("cannot write csv file {path}: {e}")));
             eprintln!("wrote {path}");

@@ -431,6 +431,34 @@ fn profile_doc_declares_itself_non_deterministic() {
     assert!(doc["total_us"].as_num().expect("total") >= 0.0);
 }
 
+#[test]
+fn recover_csv_writes_one_file_per_emitted_table() {
+    // Both recover tables' titles slug to `recover`; each must still
+    // land in its own file rather than the second overwriting the first.
+    let dir = temp_dir("recover-csv");
+    let dir_str = dir.to_str().expect("utf-8 temp path");
+    let out = run(&["--quick", "recover", "--csv", dir_str]);
+    assert!(out.status.success(), "exit {:?}: {}", out.status, stderr(&out));
+    let titles: Vec<String> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|l| l.strip_prefix("== ")?.strip_suffix(" =="))
+        .map(str::to_owned)
+        .collect();
+    let mut csv_titles: Vec<String> = std::fs::read_dir(&dir)
+        .expect("csv dir listed")
+        .map(|entry| {
+            let text = std::fs::read_to_string(entry.expect("dir entry").path()).expect("csv");
+            text.lines().next().and_then(|l| l.strip_prefix("# ")).expect("title line").to_owned()
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(titles.len() >= 2, "expected both recover tables: {titles:?}");
+    let mut expected = titles.clone();
+    expected.sort();
+    csv_titles.sort();
+    assert_eq!(csv_titles, expected, "one csv file per emitted table");
+}
+
 // History pin: the other tests compare run with run, worker count with
 // worker count and engine with engine; this one compares with bytes
 // recorded earlier. `fixtures/quick_faults_recover.*` hold the stdout
@@ -457,5 +485,29 @@ fn quick_faults_recover_matches_its_recorded_bytes() {
     assert!(
         stats == read("quick_faults_recover.stats.json"),
         "--stats-out differs from fixtures/quick_faults_recover.stats.json"
+    );
+}
+
+// The same history pin for `--metrics-out`: its traced representative
+// runs (faulted, checkpoint/restart and shrink-rebalance, GE and MM)
+// are the only exports of the traced kernel entry points, so the
+// fixture holds the document as the program wrote it before those
+// entry points priced through `kernels::CleanRecording` and the
+// recovery code shared by GE and MM.
+#[test]
+fn quick_faults_recover_metrics_match_their_recorded_bytes() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let expected =
+        std::fs::read(fixtures.join("quick_faults_recover.metrics.json")).expect("fixture present");
+    let dir = temp_dir("golden-metrics");
+    let path = dir.join("metrics.json");
+    let path_str = path.to_str().expect("utf-8 temp path");
+    let out = run(&["--quick", "--faults", "recover", "--metrics-out", path_str]);
+    assert!(out.status.success(), "exit {:?}: {}", out.status, stderr(&out));
+    let metrics = std::fs::read(&path).expect("metrics file written");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        metrics == expected,
+        "--metrics-out differs from fixtures/quick_faults_recover.metrics.json"
     );
 }

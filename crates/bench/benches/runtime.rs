@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetsim_cluster::engine::Simulator;
-use hetsim_cluster::netsim::{SharedMedium, TransferRequest};
 use hetsim_cluster::network::MpichEthernet;
 use hetsim_cluster::{ClusterSpec, SimTime};
 use hetsim_mpi::{run_spmd, Tag};
@@ -84,22 +83,9 @@ fn bench_event_engine(c: &mut Criterion) {
     });
 }
 
-fn bench_shared_medium(c: &mut Criterion) {
-    let medium = SharedMedium::new(1e-4, 1.25e7);
-    let requests: Vec<TransferRequest> = (0..1000)
-        .map(|i| TransferRequest {
-            ready: SimTime::from_micros((i % 37) as f64 * 10.0),
-            bytes: 512 * (1 + i as u64 % 16),
-            source: i % 8,
-            dest: (i + 1) % 8,
-        })
-        .collect();
-    c.bench_function("netsim_1000_transfers", |b| b.iter(|| black_box(medium.simulate(&requests))));
-}
-
 criterion_group! {
     name = runtime_benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_p2p_pingpong, bench_collectives, bench_event_engine, bench_shared_medium
+    targets = bench_p2p_pingpong, bench_collectives, bench_event_engine
 }
 criterion_main!(runtime_benches);

@@ -3,9 +3,10 @@
 //! A minimal but complete DES kernel: a priority queue of timestamped
 //! events with deterministic FIFO tie-breaking (events scheduled earlier
 //! fire first at equal timestamps), a monotone virtual clock, and a
-//! handler-driven run loop. The network simulator ([`crate::netsim`])
-//! and several tests are built on it; it is exposed publicly so
-//! downstream experiments can script their own event-level studies.
+//! handler-driven run loop. The self-scheduling models
+//! ([`crate::selfsched`]) and several tests are built on it; it is
+//! exposed publicly so downstream experiments can script their own
+//! event-level studies.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;

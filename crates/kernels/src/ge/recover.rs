@@ -1,26 +1,27 @@
 //! Recoverable timing-mode GE: the elimination skeleton of
 //! [`crate::ge::timed`] with mid-run failure recovery in virtual time
-//! (DESIGN.md §12).
+//! (DESIGN.md §12). Recovery itself is written once, in
+//! [`crate::recover`]; this module supplies GE's iteration axis: one step per pivot, `n - 1` in
+//! all, each a pivot broadcast, the rank's eliminations below the
+//! pivot, and a barrier.
 //!
 //! The plan's MTBF stream decides *whether and when* a rank dies; the
 //! [`RecoveryPolicy`] decides what the machine does about it:
 //!
 //! - **Checkpoint/restart** keeps the full cluster. Every `stride`
-//!   elimination iterations each rank charges a coordinated checkpoint
-//!   (`Checkpoint` spans); at the death iteration every rank charges the
+//!   steps each rank charges a coordinated checkpoint of its rows
+//!   (`Checkpoint` spans); at the death step every rank charges the
 //!   failure-detector timeout (`Detect`) and replays its own work since
-//!   the last checkpoint (`LostWork`), then the run continues unchanged.
-//!   These charges sit at iteration heads — right before iteration
+//!   the last checkpoint (`LostWork`), then the run continues
+//!   unchanged. These charges sit at step heads — right before step
 //!   `i`'s pivot broadcast, collective `2i` — so the run is the clean
-//!   [`crate::ge::ge_timed_body`] recording with them spliced in
-//!   ([`CleanRecording`]).
-//! - **Shrink-and-rebalance** drops the dead rank. The run is composed
-//!   from two segments: iterations `[0, k)` on the full cluster, then —
-//!   after the survivors detect the death, replay the dead rank's
-//!   eliminated work speed-proportionally (`LostWork`), and absorb its
-//!   rows via [`hetpart::rebalance`] (`Rebalance` spans) — iterations
-//!   `[k, n-1)` plus the gather tail on the survivor cluster with a
-//!   fresh speed-proportional cyclic distribution.
+//!   [`crate::ge::ge_timed_body`] recording with them spliced in.
+//! - **Shrink-and-rebalance** drops the dead rank: steps `[0, k)` on
+//!   the full cluster, then — after the survivors detect the death,
+//!   replay the dead rank's eliminations speed-proportionally
+//!   (`LostWork`), and absorb its rows (`Rebalance` spans) — steps
+//!   `[k, n-1)` plus the gather tail under a fresh speed-proportional
+//!   cyclic deal of the survivors.
 //!
 //! Both policies record clock-independent op streams (death and
 //! checkpoint placement come from the work-proportional progress
@@ -34,160 +35,50 @@
 //! scheduler.
 
 use crate::analytic::elimination_flops;
-use crate::recover::{
-    compose_segments, compose_traces, death_iteration, run_recoverable, speeds_mflops,
-    survivor_shares, CheckpointCharges, CleanRecording, DeathEvent, RecoveryOutcome,
-    RecoveryOverhead,
-};
-use crate::workload::ge_work;
-use hetpart::{repartition_after_deaths, CyclicDistribution, Distribution};
+use crate::recover::{recoverable, speeds_mflops, CleanShape, RecoveryOutcome};
+use hetpart::{CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
-use hetsim_cluster::faults::{FaultPlan, RecoveryPolicy, DETECT_TIMEOUT_SECS};
+use hetsim_cluster::faults::{FaultPlan, RecoveryPolicy};
 use hetsim_cluster::network::NetworkModel;
 use hetsim_mpi::trace::RankTrace;
-use hetsim_mpi::{LocalInserts, SpmdTimer};
 use std::ops::Range;
 
+/// Steps on GE's iteration axis: one per pivot.
+pub(crate) fn steps(n: usize) -> usize {
+    n.saturating_sub(1)
+}
+
 /// Bytes of one checkpointed augmented-matrix row: `n + 1` doubles.
-fn row_bytes(n: usize) -> u64 {
+pub(crate) fn row_bytes(n: usize) -> u64 {
     ((n + 1) * 8) as u64
 }
 
-/// This rank's elimination flops over pivot iterations `[lo, hi)` —
-/// the quantity rolled back by a restart or recomputed for a dead rank.
-fn ge_elim_flops_range(rows: &[usize], n: usize, lo: usize, hi: usize) -> f64 {
+/// Where step `i`'s local charges splice in: at the head of its pivot
+/// broadcast, collective `2i`.
+pub(crate) fn insert_at(i: usize) -> (u64, usize) {
+    (2 * i as u64, 0)
+}
+
+/// `rank`'s elimination flops over pivot steps `steps` — the quantity
+/// rolled back by a restart or recomputed for a dead rank.
+pub(crate) fn step_flops(
+    dist: &CyclicDistribution,
+    rank: usize,
+    n: usize,
+    steps: Range<usize>,
+) -> f64 {
+    let rows = dist.rows_of(rank);
     let mut below_idx = 0usize;
     let mut flops = 0.0;
-    for i in 0..hi.min(n.saturating_sub(1)) {
+    for i in 0..steps.end.min(n.saturating_sub(1)) {
         while below_idx < rows.len() && rows[below_idx] <= i {
             below_idx += 1;
         }
-        if i >= lo {
+        if i >= steps.start {
             flops += (rows.len() - below_idx) as f64 * elimination_flops(n - i);
         }
     }
     flops
-}
-
-/// The checkpoint/restart charges of one run: at the head of iteration
-/// `i` (collective `2i`, its pivot broadcast) a checkpoint when
-/// `i > 0` is a multiple of the stride, then — at the death iteration
-/// — the detector timeout and each rank's lost-work replay. With no
-/// death and no stride inside the run there are none, and the run is
-/// the baseline.
-fn ge_checkpoint_inserts(
-    p: usize,
-    iters: usize,
-    stride: Option<usize>,
-    death_iter: Option<usize>,
-    lost_flops: &[f64],
-    ckpt_bytes: &[u64],
-) -> LocalInserts {
-    let mut inserts = LocalInserts::new(p);
-    for i in 0..iters {
-        let head = 2 * i as u64;
-        if i > 0 && stride.is_some_and(|s| i % s == 0) {
-            for (r, &bytes) in ckpt_bytes.iter().enumerate() {
-                inserts.checkpoint(r, head, 0, bytes);
-            }
-        }
-        if death_iter == Some(i) {
-            for (r, &lost) in lost_flops.iter().enumerate() {
-                inserts.detect_failure(r, head, 0, DETECT_TIMEOUT_SECS);
-                inserts.recover(r, head, 0, lost, 0);
-            }
-        }
-    }
-    inserts
-}
-
-/// The charges a checkpoint/restart run splices into the clean
-/// [`crate::ge::ge_timed_body`] recording: checkpoints every `stride`
-/// iterations, and — when a death interrupts iteration `lost.end` —
-/// each rank's elimination work over the rolled-back iterations `lost`.
-pub(crate) fn checkpoint_charges(
-    dist: &CyclicDistribution,
-    n: usize,
-    stride: Option<usize>,
-    lost: Option<Range<usize>>,
-) -> CheckpointCharges {
-    let p = dist.p();
-    let ckpt_bytes: Vec<u64> =
-        (0..p).map(|r| dist.rows_of(r).len() as u64 * row_bytes(n)).collect();
-    let lost_flops: Vec<f64> = match &lost {
-        Some(range) => (0..p)
-            .map(|r| ge_elim_flops_range(&dist.rows_of(r), n, range.start, range.end))
-            .collect(),
-        None => vec![0.0; p],
-    };
-    let death_iter = lost.map(|range| range.end);
-    let iters = n.saturating_sub(1);
-    let inserts = ge_checkpoint_inserts(p, iters, stride, death_iter, &lost_flops, &ckpt_bytes);
-    CheckpointCharges { ckpt_bytes, lost_flops, inserts }
-}
-
-/// Shrink-rebalance segment A: stage 1 plus elimination iterations
-/// `[0, k)` on the full cluster. No gather — the run is interrupted.
-fn ge_prefix_body<T: SpmdTimer>(rank: &mut T, dist: &CyclicDistribution, n: usize, k: usize) {
-    let me = rank.rank();
-    let p = rank.size();
-    let my_rows = dist.rows_of(me);
-
-    if me == 0 {
-        for peer in 1..p {
-            let count = dist.rows_of(peer).len() * (n + 1);
-            rank.send_count(peer, hetsim_mpi::Tag::DATA, count);
-        }
-    } else {
-        rank.recv_count(0, hetsim_mpi::Tag::DATA, my_rows.len() * (n + 1));
-    }
-
-    let mut below_idx = 0usize;
-    for i in 0..k {
-        let owner = dist.owner(i);
-        rank.broadcast_count(owner, n - i + 1);
-        while below_idx < my_rows.len() && my_rows[below_idx] <= i {
-            below_idx += 1;
-        }
-        rank.compute_flops((my_rows.len() - below_idx) as f64 * elimination_flops(n - i));
-        rank.barrier();
-    }
-}
-
-/// Shrink-rebalance segment B, run on the survivor cluster: recovery
-/// prologue (detect, replay the dead rank's share, absorb repartitioned
-/// rows), then iterations `[k, n-1)` under the survivor distribution
-/// and the gather tail.
-#[allow(clippy::too_many_arguments)]
-fn ge_resume_body<T: SpmdTimer>(
-    rank: &mut T,
-    dist: &CyclicDistribution,
-    n: usize,
-    k: usize,
-    lost_share: &[f64],
-    moved_in_bytes: &[u64],
-) {
-    let me = rank.rank();
-    let my_rows = dist.rows_of(me);
-
-    rank.detect_failure(DETECT_TIMEOUT_SECS);
-    rank.recover(lost_share[me], moved_in_bytes[me]);
-
-    let mut below_idx = 0usize;
-    for i in k..n.saturating_sub(1) {
-        let owner = dist.owner(i);
-        rank.broadcast_count(owner, n - i + 1);
-        while below_idx < my_rows.len() && my_rows[below_idx] <= i {
-            below_idx += 1;
-        }
-        rank.compute_flops((my_rows.len() - below_idx) as f64 * elimination_flops(n - i));
-        rank.barrier();
-    }
-
-    rank.gather_count(0, my_rows.len() * (n + 1));
-    if me == 0 {
-        rank.compute_flops((n * n) as f64);
-    }
 }
 
 /// Recoverable timing-mode GE under `plan`'s MTBF stream and `policy`.
@@ -198,7 +89,8 @@ pub fn ge_parallel_timed_recoverable<N: NetworkModel>(
     policy: RecoveryPolicy,
     n: usize,
 ) -> RecoveryOutcome {
-    ge_recoverable(cluster, network, plan, policy, n, false).0
+    let shape = CleanShape::ge(n, &speeds_mflops(cluster));
+    recoverable(cluster, network, plan, policy, n, shape, false).0
 }
 
 /// [`ge_parallel_timed_recoverable`] with per-rank tracing: checkpoint,
@@ -211,83 +103,8 @@ pub fn ge_parallel_timed_recoverable_traced<N: NetworkModel>(
     policy: RecoveryPolicy,
     n: usize,
 ) -> (RecoveryOutcome, Vec<RankTrace>) {
-    ge_recoverable(cluster, network, plan, policy, n, true)
-}
-
-fn ge_recoverable<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-    n: usize,
-    tracing: bool,
-) -> (RecoveryOutcome, Vec<RankTrace>) {
-    let checkpoint_secs = match policy {
-        RecoveryPolicy::CheckpointRestart { interval_secs } => Some(interval_secs),
-        RecoveryPolicy::ShrinkRebalance => {
-            if let Some(ev) = death_iteration(plan, cluster, n.saturating_sub(1), ge_work(n)) {
-                return ge_shrink(cluster, network, plan, n, ev, tracing);
-            }
-            None
-        }
-    };
-    CleanRecording::ge(cluster, n).price(network, plan, checkpoint_secs, tracing)
-}
-
-fn ge_shrink<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    n: usize,
-    ev: DeathEvent,
-    tracing: bool,
-) -> (RecoveryOutcome, Vec<RankTrace>) {
-    let p = cluster.size();
-    let k = ev.iteration;
-    let speeds = speeds_mflops(cluster);
-    let dist = CyclicDistribution::fine(n, &speeds);
-
-    let death_plan = plan.clone().with_death(ev.rank, ev.time);
-    let surv_cluster = death_plan
-        .surviving_cluster(cluster)
-        .expect("shrink-rebalance needs at least one survivor");
-    let surv_plan = death_plan.for_survivors(p);
-    let repart = repartition_after_deaths(n, &speeds, &[ev.rank], row_bytes(n));
-
-    let surv_speeds: Vec<f64> =
-        surv_cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let surv_speed_flops: Vec<f64> =
-        surv_cluster.nodes().iter().map(|nd| nd.marked_speed_flops()).collect();
-    let surv_dist = CyclicDistribution::fine(n, &surv_speeds);
-
-    let lost_total = ge_elim_flops_range(&dist.rows_of(ev.rank), n, 0, k);
-    let lost_share = survivor_shares(lost_total, &surv_speed_flops);
-    let moved_in_bytes: Vec<u64> =
-        repart.moved_in_rows.iter().map(|&r| r as u64 * row_bytes(n)).collect();
-
-    let mut a =
-        run_recoverable(cluster, network, plan, tracing, |t| ge_prefix_body(t, &dist, n, k));
-    let mut b = run_recoverable(&surv_cluster, network, &surv_plan, tracing, |t| {
-        ge_resume_body(t, &surv_dist, n, k, &lost_share, &moved_in_bytes)
-    });
-
-    let a_traces = std::mem::take(&mut a.traces);
-    let b_traces = std::mem::take(&mut b.traces);
-    let timing = compose_segments(&a, &b, &repart.survivors);
-    let traces = if tracing {
-        compose_traces(a_traces, b_traces, a.makespan(), &repart.survivors)
-    } else {
-        Vec::new()
-    };
-
-    let overhead = RecoveryOverhead {
-        checkpoint_secs: 0.0,
-        detect_secs: repart.survivors.len() as f64 * DETECT_TIMEOUT_SECS,
-        lost_work_secs: lost_share.iter().zip(&surv_speed_flops).map(|(&l, &s)| l / s).sum(),
-        rebalance_secs: repart.moved_bytes as f64
-            / hetsim_cluster::faults::REBALANCE_BANDWIDTH_BYTES_PER_SEC,
-    };
-    (RecoveryOutcome { timing, overhead, death: Some(ev) }, traces)
+    let shape = CleanShape::ge(n, &speeds_mflops(cluster));
+    recoverable(cluster, network, plan, policy, n, shape, true)
 }
 
 #[cfg(test)]
@@ -295,10 +112,16 @@ mod tests {
     use super::*;
     use crate::ge::ge_parallel_timed;
     use crate::ge::timed::{ge_timed_body, TimingOutcome};
-    use crate::recover::checkpoint_stride;
+    use crate::recover::{
+        checkpoint_stride, compose_segments, death_iteration, survivor_shares, DeathEvent, Shrink,
+    };
+    use crate::workload::ge_work;
+    use hetpart::repartition_after_deaths;
+    use hetsim_cluster::faults::DETECT_TIMEOUT_SECS;
     use hetsim_cluster::network::SharedEthernet;
+    use hetsim_cluster::time::SimTime;
     use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::{record_spmd, run_spmd, PriceSpec};
+    use hetsim_mpi::{record_spmd, run_spmd, PriceSpec, SpmdTimer};
 
     /// The explicit checkpoint/restart body the spliced recording
     /// replaced — kept as the reference the splice is pinned to: the
@@ -351,6 +174,70 @@ mod tests {
         }
     }
 
+    /// The hand-written shrink-rebalance segment A that the shared
+    /// `Segment::Prefix` replaced — kept as its reference: stage 1 plus
+    /// elimination iterations `[0, k)` on the full cluster, no gather.
+    fn ge_prefix_body<T: SpmdTimer>(rank: &mut T, dist: &CyclicDistribution, n: usize, k: usize) {
+        let me = rank.rank();
+        let p = rank.size();
+        let my_rows = dist.rows_of(me);
+
+        if me == 0 {
+            for peer in 1..p {
+                let count = dist.rows_of(peer).len() * (n + 1);
+                rank.send_count(peer, hetsim_mpi::Tag::DATA, count);
+            }
+        } else {
+            rank.recv_count(0, hetsim_mpi::Tag::DATA, my_rows.len() * (n + 1));
+        }
+
+        let mut below_idx = 0usize;
+        for i in 0..k {
+            let owner = dist.owner(i);
+            rank.broadcast_count(owner, n - i + 1);
+            while below_idx < my_rows.len() && my_rows[below_idx] <= i {
+                below_idx += 1;
+            }
+            rank.compute_flops((my_rows.len() - below_idx) as f64 * elimination_flops(n - i));
+            rank.barrier();
+        }
+    }
+
+    /// The hand-written shrink-rebalance segment B that the shared
+    /// `Segment::Resume` replaced — kept as its reference: the recovery
+    /// prologue, then iterations `[k, n-1)` under the survivor
+    /// distribution and the gather tail.
+    fn ge_resume_body<T: SpmdTimer>(
+        rank: &mut T,
+        dist: &CyclicDistribution,
+        n: usize,
+        k: usize,
+        lost_share: &[f64],
+        moved_in_bytes: &[u64],
+    ) {
+        let me = rank.rank();
+        let my_rows = dist.rows_of(me);
+
+        rank.detect_failure(DETECT_TIMEOUT_SECS);
+        rank.recover(lost_share[me], moved_in_bytes[me]);
+
+        let mut below_idx = 0usize;
+        for i in k..n.saturating_sub(1) {
+            let owner = dist.owner(i);
+            rank.broadcast_count(owner, n - i + 1);
+            while below_idx < my_rows.len() && my_rows[below_idx] <= i {
+                below_idx += 1;
+            }
+            rank.compute_flops((my_rows.len() - below_idx) as f64 * elimination_flops(n - i));
+            rank.barrier();
+        }
+
+        rank.gather_count(0, my_rows.len() * (n + 1));
+        if me == 0 {
+            rank.compute_flops((n * n) as f64);
+        }
+    }
+
     /// `(stride, death iteration)` cases at `n = 20` (19 iterations):
     /// death at iteration 0, at the last iteration, on a checkpoint
     /// iteration, between checkpoints, none; strides 1, 4, 19 (= iters)
@@ -366,23 +253,29 @@ mod tests {
         (3, None),
     ];
 
+    /// The reference inputs of one splice case — distribution, each
+    /// rank's lost work, each rank's checkpoint bytes — and the shared
+    /// checkpoint charges for it, checked against them.
     fn splice_inputs(
         cluster: &ClusterSpec,
         n: usize,
         stride: usize,
         death_iter: Option<usize>,
-    ) -> (CyclicDistribution, Vec<f64>, Vec<u64>) {
-        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+    ) -> (CyclicDistribution, Vec<f64>, Vec<u64>, hetsim_mpi::LocalInserts) {
+        let speeds = speeds_mflops(cluster);
         let dist = CyclicDistribution::fine(n, &speeds);
         let p = cluster.size();
-        let lost: Vec<f64> = match death_iter {
-            Some(k) => (0..p)
-                .map(|r| ge_elim_flops_range(&dist.rows_of(r), n, (k / stride) * stride, k))
-                .collect(),
+        let lost_steps = death_iter.map(|k| (k / stride) * stride..k);
+        let lost: Vec<f64> = match &lost_steps {
+            Some(steps) => (0..p).map(|r| step_flops(&dist, r, n, steps.clone())).collect(),
             None => vec![0.0; p],
         };
-        let bytes = (0..p).map(|r| dist.rows_of(r).len() as u64 * row_bytes(n)).collect();
-        (dist, lost, bytes)
+        let bytes: Vec<u64> =
+            (0..p).map(|r| dist.rows_of(r).len() as u64 * ((n + 1) * 8) as u64).collect();
+        let charges = CleanShape::ge(n, &speeds).checkpoint_charges(p, n, Some(stride), lost_steps);
+        assert_eq!(charges.lost_flops, lost, "stride {stride}, death {death_iter:?}: lost work");
+        assert_eq!(charges.ckpt_bytes, bytes, "stride {stride}, death {death_iter:?}: bytes");
+        (dist, lost, bytes, charges.inserts)
     }
 
     #[test]
@@ -390,8 +283,7 @@ mod tests {
         let cluster = het3();
         let n = 20;
         for (stride, death_iter) in SPLICE_CASES {
-            let (dist, lost, bytes) = splice_inputs(&cluster, n, stride, death_iter);
-            let inserts = ge_checkpoint_inserts(3, n - 1, Some(stride), death_iter, &lost, &bytes);
+            let (dist, lost, bytes, inserts) = splice_inputs(&cluster, n, stride, death_iter);
             let clean = record_spmd(&cluster, |t| ge_timed_body(t, &dist, n));
             let explicit = record_spmd(&cluster, |t| {
                 ge_ckpt_body(t, &dist, n, stride, death_iter, &lost, &bytes)
@@ -409,8 +301,7 @@ mod tests {
         let n = 20;
         let plan = FaultPlan::new(9).with_straggler(1, 0.5).with_link_drops(150);
         for (stride, death_iter) in SPLICE_CASES {
-            let (dist, lost, bytes) = splice_inputs(&cluster, n, stride, death_iter);
-            let inserts = ge_checkpoint_inserts(3, n - 1, Some(stride), death_iter, &lost, &bytes);
+            let (dist, lost, bytes, inserts) = splice_inputs(&cluster, n, stride, death_iter);
             let clean = record_spmd(&cluster, |t| ge_timed_body(t, &dist, n));
             let body = |rank: &mut hetsim_mpi::Rank<'_>| {
                 ge_ckpt_body(rank, &dist, n, stride, death_iter, &lost, &bytes)
@@ -438,7 +329,7 @@ mod tests {
     fn one_recording_prices_every_checkpoint_cell() {
         let cluster = het3();
         let n = 40;
-        let recording = CleanRecording::ge(&cluster, n);
+        let recording = crate::recover::CleanRecording::ge(&cluster, n);
         let est = crate::recover::estimated_run_secs(&cluster, ge_work(n));
         for seed in 0..6u64 {
             let plan = FaultPlan::new(seed).with_mtbf(3.0 * est);
@@ -479,6 +370,69 @@ mod tests {
             "seed {seed} must fire a death for this test"
         );
         plan
+    }
+
+    /// Shrink deaths at `n = 20` (19 iterations): every rank dies at
+    /// the first, a middle, and the last iteration.
+    fn shrink_deaths() -> Vec<DeathEvent> {
+        let mut deaths = Vec::new();
+        for rank in 0..3 {
+            for iteration in [0, 9, 18] {
+                deaths.push(DeathEvent { rank, time: SimTime::from_secs(0.25), iteration });
+            }
+        }
+        deaths
+    }
+
+    /// The reference segment inputs of a shrink run after `ev`: the
+    /// survivor cluster, the full and survivor distributions, each
+    /// survivor's lost-work share and moved-in bytes, and the survivors'
+    /// original ranks.
+    #[allow(clippy::type_complexity)]
+    fn shrink_inputs(
+        cluster: &ClusterSpec,
+        plan: &FaultPlan,
+        n: usize,
+        ev: DeathEvent,
+    ) -> (ClusterSpec, CyclicDistribution, CyclicDistribution, Vec<f64>, Vec<u64>, Vec<usize>) {
+        let speeds = speeds_mflops(cluster);
+        let dist = CyclicDistribution::fine(n, &speeds);
+        let death_plan = plan.clone().with_death(ev.rank, ev.time);
+        let surv_cluster = death_plan.surviving_cluster(cluster).unwrap();
+        let repart = repartition_after_deaths(n, &speeds, &[ev.rank], row_bytes(n));
+        let surv_dist = CyclicDistribution::fine(n, &speeds_mflops(&surv_cluster));
+        let surv_speed_flops: Vec<f64> =
+            surv_cluster.nodes().iter().map(|nd| nd.marked_speed_flops()).collect();
+        let lost_total = step_flops(&dist, ev.rank, n, 0..ev.iteration);
+        let lost_share = survivor_shares(lost_total, &surv_speed_flops);
+        let moved_in: Vec<u64> =
+            repart.moved_in_rows.iter().map(|&r| r as u64 * row_bytes(n)).collect();
+        (surv_cluster, dist, surv_dist, lost_share, moved_in, repart.survivors)
+    }
+
+    #[test]
+    fn shrink_segments_equal_the_hand_written_bodies() {
+        let cluster = het3();
+        let n = 20;
+        let plan = FaultPlan::new(42);
+        let shape = CleanShape::ge(n, &speeds_mflops(&cluster));
+        for ev in shrink_deaths() {
+            let shrink = Shrink::new(&cluster, &plan, &shape, n, ev);
+            let (surv_cluster, dist, surv_dist, lost_share, moved_in, survivors) =
+                shrink_inputs(&cluster, &plan, n, ev);
+            assert_eq!(shrink.survivors, survivors);
+            assert_eq!(shrink.lost_share, lost_share, "{ev:?}: lost-work shares");
+            assert_eq!(shrink.moved_in_bytes, moved_in, "{ev:?}: moved-in bytes");
+            let k = ev.iteration;
+            let prefix = record_spmd(&cluster, |t| shrink.prefix(t));
+            let reference = record_spmd(&cluster, |t| ge_prefix_body(t, &dist, n, k));
+            assert!(prefix.same_ops(&reference), "{ev:?}: prefix differs from the reference");
+            let resume = record_spmd(&shrink.surv_cluster, |t| shrink.resume(t));
+            let reference = record_spmd(&surv_cluster, |t| {
+                ge_resume_body(t, &surv_dist, n, k, &lost_share, &moved_in)
+            });
+            assert!(resume.same_ops(&reference), "{ev:?}: resume differs from the reference");
+        }
     }
 
     #[test]
@@ -532,14 +486,12 @@ mod tests {
 
         // Re-derive the injected body's inputs and run it on the
         // threaded oracle.
-        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-        let dist = CyclicDistribution::fine(n, &speeds);
+        let dist = CyclicDistribution::fine(n, &speeds_mflops(&cluster));
         let iters = n - 1;
         let stride = checkpoint_stride(interval, &cluster, iters, ge_work(n));
         let ev = death_iteration(&plan, &cluster, iters, ge_work(n)).unwrap();
         let c = (ev.iteration / stride) * stride;
-        let lost: Vec<f64> =
-            (0..3).map(|r| ge_elim_flops_range(&dist.rows_of(r), n, c, ev.iteration)).collect();
+        let lost: Vec<f64> = (0..3).map(|r| step_flops(&dist, r, n, c..ev.iteration)).collect();
         let bytes: Vec<u64> = (0..3).map(|r| dist.rows_of(r).len() as u64 * row_bytes(n)).collect();
         let threaded = TimingOutcome::from_spmd(run_spmd(&cluster, &net(), |rank| {
             ge_ckpt_body(rank, &dist, n, stride, Some(ev.iteration), &lost, &bytes)
@@ -551,37 +503,36 @@ mod tests {
     fn fast_matches_threaded_on_shrink_segments() {
         let cluster = het3();
         let n = 20;
-        let plan = deadly_plan(&cluster, n, 42);
-        let fast = ge_parallel_timed_recoverable(
+        let shape = CleanShape::ge(n, &speeds_mflops(&cluster));
+        // The seeded death through the public entry point, then every
+        // rank dying at the first, a middle, and the last iteration.
+        let seeded_plan = deadly_plan(&cluster, n, 42);
+        let seeded = ge_parallel_timed_recoverable(
             &cluster,
             &net(),
-            &plan,
+            &seeded_plan,
             RecoveryPolicy::ShrinkRebalance,
             n,
         );
-        let ev = fast.death.unwrap();
+        let mut cases = vec![(seeded_plan, seeded.death.unwrap(), seeded.timing)];
+        let plan = FaultPlan::new(42);
+        for ev in shrink_deaths() {
+            let fast = Shrink::new(&cluster, &plan, &shape, n, ev).run(&net(), false).0;
+            cases.push((plan.clone(), ev, fast.timing));
+        }
 
-        // Re-run both segments on the threaded oracle and compose.
-        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-        let dist = CyclicDistribution::fine(n, &speeds);
-        let death_plan = plan.clone().with_death(ev.rank, ev.time);
-        let surv_cluster = death_plan.surviving_cluster(&cluster).unwrap();
-        let repart = repartition_after_deaths(n, &speeds, &[ev.rank], row_bytes(n));
-        let surv_speeds: Vec<f64> =
-            surv_cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-        let surv_speed_flops: Vec<f64> =
-            surv_cluster.nodes().iter().map(|nd| nd.marked_speed_flops()).collect();
-        let surv_dist = CyclicDistribution::fine(n, &surv_speeds);
-        let lost_total = ge_elim_flops_range(&dist.rows_of(ev.rank), n, 0, ev.iteration);
-        let lost_share = survivor_shares(lost_total, &surv_speed_flops);
-        let moved_in: Vec<u64> =
-            repart.moved_in_rows.iter().map(|&r| r as u64 * row_bytes(n)).collect();
-        let a = run_spmd(&cluster, &net(), |rank| ge_prefix_body(rank, &dist, n, ev.iteration));
-        let b = run_spmd(&surv_cluster, &net(), |rank| {
-            ge_resume_body(rank, &surv_dist, n, ev.iteration, &lost_share, &moved_in)
-        });
-        let threaded = compose_segments(&a, &b, &repart.survivors);
-        assert_eq!(fast.timing, threaded);
+        // Re-run both reference segments on the threaded oracle and
+        // compose.
+        for (plan, ev, fast) in cases {
+            let (surv_cluster, dist, surv_dist, lost_share, moved_in, survivors) =
+                shrink_inputs(&cluster, &plan, n, ev);
+            let k = ev.iteration;
+            let a = run_spmd(&cluster, &net(), |rank| ge_prefix_body(rank, &dist, n, k));
+            let b = run_spmd(&surv_cluster, &net(), |rank| {
+                ge_resume_body(rank, &surv_dist, n, k, &lost_share, &moved_in)
+            });
+            assert_eq!(fast, compose_segments(&a, &b, &survivors), "{ev:?}");
+        }
     }
 
     #[test]

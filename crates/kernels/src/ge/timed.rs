@@ -18,16 +18,14 @@
 //! executing the *same generic body*.
 
 use crate::analytic::{elimination_flops, ge_closed_form};
-use crate::recover::CleanRecording;
+use crate::recover::{CleanRecording, Segment};
 use hetpart::{CyclicDistribution, Distribution};
 use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::time::SimTime;
 use hetsim_mpi::trace::RankTrace;
-use hetsim_mpi::{
-    run_spmd_fast, run_spmd_fast_faulted_traced, run_spmd_fast_traced, SpmdOutcome, SpmdTimer, Tag,
-};
+use hetsim_mpi::{run_spmd_fast, SpmdOutcome, SpmdTimer, Tag};
 
 /// Timing result of a protocol-skeleton run.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,11 +125,7 @@ pub fn ge_parallel_timed_traced<N: NetworkModel>(
     network: &N,
     n: usize,
 ) -> (TimingOutcome, Vec<RankTrace>) {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = CyclicDistribution::fine(n, &speeds);
-    let mut outcome = run_spmd_fast_traced(cluster, network, |t| ge_timed_body(t, &dist, n));
-    let traces = std::mem::take(&mut outcome.traces);
-    (TimingOutcome::from_spmd(outcome), traces)
+    CleanRecording::ge(cluster, n).traced(network, None)
 }
 
 /// [`ge_parallel_timed`] under a deterministic [`FaultPlan`]: degraded
@@ -156,30 +150,39 @@ pub fn ge_parallel_timed_faulted_traced<N: NetworkModel>(
     plan: &FaultPlan,
     n: usize,
 ) -> (TimingOutcome, Vec<RankTrace>) {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = CyclicDistribution::fine(n, &speeds);
-    let mut outcome =
-        run_spmd_fast_faulted_traced(cluster, network, plan, |t| ge_timed_body(t, &dist, n));
-    let traces = std::mem::take(&mut outcome.traces);
-    (TimingOutcome::from_spmd(outcome), traces)
+    CleanRecording::ge(cluster, n).traced(network, Some(plan))
 }
 
 /// The GE protocol skeleton as a generic [`SpmdTimer`] body — the
 /// single source of truth the engines, the threaded oracle, and the
 /// closed form ([`crate::analytic::ge_closed_form`]) are all pinned to.
 pub fn ge_timed_body<T: SpmdTimer>(rank: &mut T, dist: &CyclicDistribution, n: usize) {
+    ge_segment_body(rank, dist, n, Segment::Whole);
+}
+
+/// [`ge_timed_body`] over one [`Segment`] of its pivot steps — the body
+/// [`crate::recover`] records shrink-rebalance segments from: the distribution head, steps `seg.steps(n - 1)`, and
+/// the collection tail, each only where the segment has it.
+pub(crate) fn ge_segment_body<T: SpmdTimer>(
+    rank: &mut T,
+    dist: &CyclicDistribution,
+    n: usize,
+    seg: Segment,
+) {
     let me = rank.rank();
     let p = rank.size();
     let my_row_ids = dist.rows_of(me);
 
     // Stage 1: distribution — same payload sizes, zero-filled.
-    if me == 0 {
-        for peer in 1..p {
-            let count = dist.rows_of(peer).len() * (n + 1);
-            rank.send_count(peer, Tag::DATA, count);
+    if seg.head() {
+        if me == 0 {
+            for peer in 1..p {
+                let count = dist.rows_of(peer).len() * (n + 1);
+                rank.send_count(peer, Tag::DATA, count);
+            }
+        } else {
+            rank.recv_count(0, Tag::DATA, my_row_ids.len() * (n + 1));
         }
-    } else {
-        rank.recv_count(0, Tag::DATA, my_row_ids.len() * (n + 1));
     }
 
     // Stage 2: elimination — same broadcasts, barriers, and charged
@@ -188,7 +191,7 @@ pub fn ge_timed_body<T: SpmdTimer>(rank: &mut T, dist: &CyclicDistribution, n: u
     // of "my rows strictly below pivot i".
     let my_rows_sorted = my_row_ids; // rows_of is ascending
     let mut below_idx = 0usize; // first owned row index > i (monotone in i)
-    for i in 0..n.saturating_sub(1) {
+    for i in seg.steps(n.saturating_sub(1)) {
         let owner = dist.owner(i);
         let payload_len = n - i + 1;
         rank.broadcast_count(owner, payload_len);
@@ -201,9 +204,11 @@ pub fn ge_timed_body<T: SpmdTimer>(rank: &mut T, dist: &CyclicDistribution, n: u
     }
 
     // Stage 3: collection + sequential back substitution at rank 0.
-    rank.gather_count(0, my_rows_sorted.len() * (n + 1));
-    if me == 0 {
-        rank.compute_flops((n * n) as f64);
+    if seg.tail() {
+        rank.gather_count(0, my_rows_sorted.len() * (n + 1));
+        if me == 0 {
+            rank.compute_flops((n * n) as f64);
+        }
     }
 }
 

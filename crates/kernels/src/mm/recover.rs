@@ -1,40 +1,43 @@
 //! Recoverable timing-mode MM: the HoHe skeleton of [`crate::mm::timed`]
-//! with mid-run failure recovery in virtual time. See
-//! [`crate::ge::recover`] for the policy semantics — this module differs
-//! only in how the multiply is given an iteration axis.
+//! with mid-run failure recovery in virtual time. Recovery itself is
+//! written once, in [`crate::recover`] (see [`crate::ge::recover`] for
+//! the policy semantics); this module supplies MM's iteration axis.
 //!
 //! The baseline MM body charges each rank's multiply as one flop block;
 //! recovery needs intermediate states to checkpoint and to interrupt, so
 //! the recoverable variant splits the multiply into `n` virtual
-//! column-chunks of `flops / n` each and splices checkpoint, detect, and
-//! recovery charges in at chunk boundaries — offsets into the local run
-//! before the gather (collective 1), so one chunked recording serves
-//! every checkpoint/restart run of a [`CleanRecording`]. The split
-//! changes the float-op sequence, so a recoverable run with *any*
-//! checkpoint or death is a different (still deterministic) program
-//! than the baseline; a run with no checkpoint and no death prices the
-//! recording's baseline program, and the outcomes are bit-equal. A
-//! shrink run's resume segment prices the remaining `n - k` chunks
-//! under the survivor distribution — a uniform-progress approximation
-//! of migrating the partial product.
+//! column-chunks of `flops / n` each — one step per chunk — and splices
+//! checkpoint, detect, and recovery charges in at chunk boundaries:
+//! offsets into the local run before the gather (collective 1), so one
+//! chunked recording serves every checkpoint/restart run of a
+//! [`crate::recover::CleanRecording`]. The split changes the float-op
+//! sequence, so a recoverable run with *any* checkpoint or death is a
+//! different (still deterministic) program than the baseline; a run
+//! with no checkpoint and no death prices the recording's baseline
+//! program, and the outcomes are bit-equal. A shrink run's resume
+//! segment prices the remaining `n - k` chunks under the survivor
+//! distribution — a uniform-progress approximation of migrating the
+//! partial product.
 
-use crate::recover::{
-    compose_segments, compose_traces, death_iteration, run_recoverable, speeds_mflops,
-    survivor_shares, CheckpointCharges, CleanRecording, DeathEvent, RecoveryOutcome,
-    RecoveryOverhead,
-};
-use crate::workload::mm_work;
-use hetpart::{repartition_after_deaths, BlockDistribution, Distribution};
+use crate::recover::{recoverable, speeds_mflops, CleanShape, RecoveryOutcome, Segment};
+use hetpart::BlockDistribution;
 use hetsim_cluster::cluster::ClusterSpec;
-use hetsim_cluster::faults::{FaultPlan, RecoveryPolicy, DETECT_TIMEOUT_SECS};
+use hetsim_cluster::faults::{FaultPlan, RecoveryPolicy};
 use hetsim_cluster::network::NetworkModel;
 use hetsim_mpi::trace::RankTrace;
-use hetsim_mpi::{record_spmd, LocalInserts, SpmdProgram, SpmdTimer, Tag};
+use hetsim_mpi::{SpmdTimer, Tag};
 use std::ops::Range;
 
 /// Bytes of one matrix row: `n` doubles.
-fn row_bytes(n: usize) -> u64 {
+pub(crate) fn row_bytes(n: usize) -> u64 {
     (n * 8) as u64
+}
+
+/// Where chunk `j`'s local charges splice in: after the first `j` ops
+/// of the local run before the gather (collective 1; the B broadcast
+/// is 0).
+pub(crate) fn insert_at(j: usize) -> (u64, usize) {
+    (1, j)
 }
 
 /// A rank's charged multiply flops under `dist`.
@@ -43,142 +46,49 @@ fn mm_flops(dist: &BlockDistribution, rank: usize, n: usize) -> f64 {
     (2 * rows * n * n).saturating_sub(rows * n) as f64
 }
 
-/// The checkpointable multiply: distribution and broadcast as the
-/// baseline, then `n` column-chunks of `flops / n` each, then the
-/// gather. Checkpoint/restart charges splice in at chunk boundaries.
-fn mm_chunked_body<T: SpmdTimer>(rank: &mut T, dist: &BlockDistribution, n: usize) {
-    let me = rank.rank();
-    let p = rank.size();
-    let my_range = dist.range_of(me);
-
-    if me == 0 {
-        for peer in 1..p {
-            let r = dist.range_of(peer);
-            rank.send_count(peer, Tag::DATA, r.len() * n);
-        }
-    } else {
-        rank.recv_count(0, Tag::DATA, my_range.len() * n);
-    }
-    rank.broadcast_count(0, n * n);
-
-    let chunk = mm_flops(dist, me, n) / n as f64;
-    for _ in 0..n {
-        rank.compute_flops(chunk);
-    }
-
-    rank.gather_count(0, my_range.len() * n);
-}
-
-/// The checkpoint/restart charges of one run, at chunk heads of the
-/// local run before the gather (collective 1; the B broadcast is 0): a
-/// checkpoint before chunk `j` when `j > 0` is a multiple of the
-/// stride, then — at the death chunk — the detector timeout and each
-/// rank's lost-work replay.
-fn mm_checkpoint_inserts(
-    n: usize,
-    stride: Option<usize>,
-    death_iter: Option<usize>,
-    lost_flops: &[f64],
-    ckpt_bytes: &[u64],
-) -> LocalInserts {
-    const GATHER: u64 = 1;
-    let mut inserts = LocalInserts::new(ckpt_bytes.len());
-    for j in 0..n {
-        if j > 0 && stride.is_some_and(|s| j % s == 0) {
-            for (r, &bytes) in ckpt_bytes.iter().enumerate() {
-                inserts.checkpoint(r, GATHER, j, bytes);
-            }
-        }
-        if death_iter == Some(j) {
-            for (r, &lost) in lost_flops.iter().enumerate() {
-                inserts.detect_failure(r, GATHER, j, DETECT_TIMEOUT_SECS);
-                inserts.recover(r, GATHER, j, lost, 0);
-            }
-        }
-    }
-    inserts
-}
-
-/// Records the chunked multiply a checkpointed MM run splices its
-/// charges into.
-pub(crate) fn record_chunked(
-    cluster: &ClusterSpec,
+/// `rank`'s multiply flops over chunks `steps`.
+pub(crate) fn step_flops(
     dist: &BlockDistribution,
+    rank: usize,
     n: usize,
-) -> SpmdProgram<()> {
-    record_spmd(cluster, |t| mm_chunked_body(t, dist, n))
+    steps: Range<usize>,
+) -> f64 {
+    steps.len() as f64 * (mm_flops(dist, rank, n) / n as f64)
 }
 
-/// The charges a checkpoint/restart run splices into the chunked
-/// recording: checkpoints every `stride` chunks, and — when a death
-/// interrupts chunk `lost.end` — each rank's share of the rolled-back
-/// chunks `lost`.
-pub(crate) fn checkpoint_charges(
-    dist: &BlockDistribution,
-    n: usize,
-    stride: Option<usize>,
-    lost: Option<Range<usize>>,
-) -> CheckpointCharges {
-    let p = dist.p();
-    let ckpt_bytes: Vec<u64> =
-        (0..p).map(|r| dist.range_of(r).len() as u64 * row_bytes(n)).collect();
-    let lost_flops: Vec<f64> = match &lost {
-        Some(range) => (0..p)
-            .map(|r| (range.end - range.start) as f64 * (mm_flops(dist, r, n) / n as f64))
-            .collect(),
-        None => vec![0.0; p],
-    };
-    let death_iter = lost.map(|range| range.end);
-    let inserts = mm_checkpoint_inserts(n, stride, death_iter, &lost_flops, &ckpt_bytes);
-    CheckpointCharges { ckpt_bytes, lost_flops, inserts }
-}
-
-/// Shrink-rebalance segment A: distribution, broadcast, and the first
-/// `k` column-chunks on the full cluster. No gather — interrupted.
-fn mm_prefix_body<T: SpmdTimer>(rank: &mut T, dist: &BlockDistribution, n: usize, k: usize) {
-    let me = rank.rank();
-    let p = rank.size();
-    let my_range = dist.range_of(me);
-
-    if me == 0 {
-        for peer in 1..p {
-            let r = dist.range_of(peer);
-            rank.send_count(peer, Tag::DATA, r.len() * n);
-        }
-    } else {
-        rank.recv_count(0, Tag::DATA, my_range.len() * n);
-    }
-    rank.broadcast_count(0, n * n);
-
-    let chunk = mm_flops(dist, me, n) / n as f64;
-    for _ in 0..k {
-        rank.compute_flops(chunk);
-    }
-}
-
-/// Shrink-rebalance segment B on the survivor cluster: recovery
-/// prologue, the remaining `n - k` chunks under the survivor
-/// distribution, then the gather with survivor counts.
-fn mm_resume_body<T: SpmdTimer>(
+/// The checkpointable multiply over one [`Segment`] of its chunks:
+/// distribution and broadcast as the baseline (the head), chunks
+/// `seg.steps(n)` of `flops / n` each, then the gather (the tail).
+pub(crate) fn mm_chunked_body<T: SpmdTimer>(
     rank: &mut T,
     dist: &BlockDistribution,
     n: usize,
-    k: usize,
-    lost_share: &[f64],
-    moved_in_bytes: &[u64],
+    seg: Segment,
 ) {
     let me = rank.rank();
+    let p = rank.size();
     let my_range = dist.range_of(me);
 
-    rank.detect_failure(DETECT_TIMEOUT_SECS);
-    rank.recover(lost_share[me], moved_in_bytes[me]);
+    if seg.head() {
+        if me == 0 {
+            for peer in 1..p {
+                let r = dist.range_of(peer);
+                rank.send_count(peer, Tag::DATA, r.len() * n);
+            }
+        } else {
+            rank.recv_count(0, Tag::DATA, my_range.len() * n);
+        }
+        rank.broadcast_count(0, n * n);
+    }
 
     let chunk = mm_flops(dist, me, n) / n as f64;
-    for _ in k..n {
+    for _ in seg.steps(n) {
         rank.compute_flops(chunk);
     }
 
-    rank.gather_count(0, my_range.len() * n);
+    if seg.tail() {
+        rank.gather_count(0, my_range.len() * n);
+    }
 }
 
 /// Recoverable timing-mode MM under `plan`'s MTBF stream and `policy`.
@@ -189,7 +99,8 @@ pub fn mm_parallel_timed_recoverable<N: NetworkModel>(
     policy: RecoveryPolicy,
     n: usize,
 ) -> RecoveryOutcome {
-    mm_recoverable(cluster, network, plan, policy, n, false).0
+    let shape = CleanShape::mm(n, &speeds_mflops(cluster));
+    recoverable(cluster, network, plan, policy, n, shape, false).0
 }
 
 /// [`mm_parallel_timed_recoverable`] with per-rank tracing.
@@ -200,83 +111,8 @@ pub fn mm_parallel_timed_recoverable_traced<N: NetworkModel>(
     policy: RecoveryPolicy,
     n: usize,
 ) -> (RecoveryOutcome, Vec<RankTrace>) {
-    mm_recoverable(cluster, network, plan, policy, n, true)
-}
-
-fn mm_recoverable<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-    n: usize,
-    tracing: bool,
-) -> (RecoveryOutcome, Vec<RankTrace>) {
-    let checkpoint_secs = match policy {
-        RecoveryPolicy::CheckpointRestart { interval_secs } => Some(interval_secs),
-        RecoveryPolicy::ShrinkRebalance => {
-            if let Some(ev) = death_iteration(plan, cluster, n, mm_work(n)) {
-                return mm_shrink(cluster, network, plan, n, ev, tracing);
-            }
-            None
-        }
-    };
-    CleanRecording::mm(cluster, n).price(network, plan, checkpoint_secs, tracing)
-}
-
-fn mm_shrink<N: NetworkModel>(
-    cluster: &ClusterSpec,
-    network: &N,
-    plan: &FaultPlan,
-    n: usize,
-    ev: DeathEvent,
-    tracing: bool,
-) -> (RecoveryOutcome, Vec<RankTrace>) {
-    let p = cluster.size();
-    let k = ev.iteration;
-    let speeds = speeds_mflops(cluster);
-    let dist = BlockDistribution::proportional(n, &speeds);
-
-    let death_plan = plan.clone().with_death(ev.rank, ev.time);
-    let surv_cluster = death_plan
-        .surviving_cluster(cluster)
-        .expect("shrink-rebalance needs at least one survivor");
-    let surv_plan = death_plan.for_survivors(p);
-    let repart = repartition_after_deaths(n, &speeds, &[ev.rank], row_bytes(n));
-
-    let surv_speeds: Vec<f64> =
-        surv_cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let surv_speed_flops: Vec<f64> =
-        surv_cluster.nodes().iter().map(|nd| nd.marked_speed_flops()).collect();
-    let surv_dist = BlockDistribution::proportional(n, &surv_speeds);
-
-    let lost_total = k as f64 * (mm_flops(&dist, ev.rank, n) / n as f64);
-    let lost_share = survivor_shares(lost_total, &surv_speed_flops);
-    let moved_in_bytes: Vec<u64> =
-        repart.moved_in_rows.iter().map(|&r| r as u64 * row_bytes(n)).collect();
-
-    let mut a =
-        run_recoverable(cluster, network, plan, tracing, |t| mm_prefix_body(t, &dist, n, k));
-    let mut b = run_recoverable(&surv_cluster, network, &surv_plan, tracing, |t| {
-        mm_resume_body(t, &surv_dist, n, k, &lost_share, &moved_in_bytes)
-    });
-
-    let a_traces = std::mem::take(&mut a.traces);
-    let b_traces = std::mem::take(&mut b.traces);
-    let timing = compose_segments(&a, &b, &repart.survivors);
-    let traces = if tracing {
-        compose_traces(a_traces, b_traces, a.makespan(), &repart.survivors)
-    } else {
-        Vec::new()
-    };
-
-    let overhead = RecoveryOverhead {
-        checkpoint_secs: 0.0,
-        detect_secs: repart.survivors.len() as f64 * DETECT_TIMEOUT_SECS,
-        lost_work_secs: lost_share.iter().zip(&surv_speed_flops).map(|(&l, &s)| l / s).sum(),
-        rebalance_secs: repart.moved_bytes as f64
-            / hetsim_cluster::faults::REBALANCE_BANDWIDTH_BYTES_PER_SEC,
-    };
-    (RecoveryOutcome { timing, overhead, death: Some(ev) }, traces)
+    let shape = CleanShape::mm(n, &speeds_mflops(cluster));
+    recoverable(cluster, network, plan, policy, n, shape, true)
 }
 
 #[cfg(test)]
@@ -284,10 +120,16 @@ mod tests {
     use super::*;
     use crate::ge::TimingOutcome;
     use crate::mm::mm_parallel_timed;
-    use crate::recover::checkpoint_stride;
+    use crate::recover::{
+        checkpoint_stride, compose_segments, death_iteration, survivor_shares, DeathEvent, Shrink,
+    };
+    use crate::workload::mm_work;
+    use hetpart::repartition_after_deaths;
+    use hetsim_cluster::faults::DETECT_TIMEOUT_SECS;
     use hetsim_cluster::network::SharedEthernet;
+    use hetsim_cluster::time::SimTime;
     use hetsim_cluster::NodeSpec;
-    use hetsim_mpi::{run_spmd, PriceSpec};
+    use hetsim_mpi::{record_spmd, run_spmd, PriceSpec};
 
     /// The explicit checkpoint/restart multiply the spliced recording
     /// replaced — kept as the reference the splice is pinned to:
@@ -332,6 +174,57 @@ mod tests {
         rank.gather_count(0, my_range.len() * n);
     }
 
+    /// The hand-written shrink-rebalance segment A that the shared
+    /// `Segment::Prefix` replaced — kept as its reference:
+    /// distribution, broadcast, and the first `k` column-chunks on the
+    /// full cluster, no gather.
+    fn mm_prefix_body<T: SpmdTimer>(rank: &mut T, dist: &BlockDistribution, n: usize, k: usize) {
+        let me = rank.rank();
+        let p = rank.size();
+        let my_range = dist.range_of(me);
+
+        if me == 0 {
+            for peer in 1..p {
+                let r = dist.range_of(peer);
+                rank.send_count(peer, Tag::DATA, r.len() * n);
+            }
+        } else {
+            rank.recv_count(0, Tag::DATA, my_range.len() * n);
+        }
+        rank.broadcast_count(0, n * n);
+
+        let chunk = mm_flops(dist, me, n) / n as f64;
+        for _ in 0..k {
+            rank.compute_flops(chunk);
+        }
+    }
+
+    /// The hand-written shrink-rebalance segment B that the shared
+    /// `Segment::Resume` replaced — kept as its reference: the recovery
+    /// prologue, the remaining `n - k` chunks under the survivor
+    /// distribution, then the gather with survivor counts.
+    fn mm_resume_body<T: SpmdTimer>(
+        rank: &mut T,
+        dist: &BlockDistribution,
+        n: usize,
+        k: usize,
+        lost_share: &[f64],
+        moved_in_bytes: &[u64],
+    ) {
+        let me = rank.rank();
+        let my_range = dist.range_of(me);
+
+        rank.detect_failure(DETECT_TIMEOUT_SECS);
+        rank.recover(lost_share[me], moved_in_bytes[me]);
+
+        let chunk = mm_flops(dist, me, n) / n as f64;
+        for _ in k..n {
+            rank.compute_flops(chunk);
+        }
+
+        rank.gather_count(0, my_range.len() * n);
+    }
+
     /// `(stride, death chunk)` cases at `n = 18` chunks: death at chunk
     /// 0, at the last chunk, on a checkpoint chunk, between
     /// checkpoints, none; strides 1, 4, 18 (= chunks) and past the run.
@@ -346,13 +239,16 @@ mod tests {
         (3, None),
     ];
 
+    /// The reference inputs of one splice case — distribution, each
+    /// rank's lost work, each rank's checkpoint bytes — and the shared
+    /// checkpoint charges for it, checked against them.
     fn splice_inputs(
         cluster: &ClusterSpec,
         n: usize,
         stride: usize,
         death_iter: Option<usize>,
-    ) -> (BlockDistribution, Vec<f64>, Vec<u64>) {
-        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
+    ) -> (BlockDistribution, Vec<f64>, Vec<u64>, hetsim_mpi::LocalInserts) {
+        let speeds = speeds_mflops(cluster);
         let dist = BlockDistribution::proportional(n, &speeds);
         let p = cluster.size();
         let lost: Vec<f64> = match death_iter {
@@ -361,8 +257,13 @@ mod tests {
                 .collect(),
             None => vec![0.0; p],
         };
-        let bytes = (0..p).map(|r| dist.range_of(r).len() as u64 * row_bytes(n)).collect();
-        (dist, lost, bytes)
+        let bytes: Vec<u64> =
+            (0..p).map(|r| dist.range_of(r).len() as u64 * (n * 8) as u64).collect();
+        let lost_steps = death_iter.map(|k| (k / stride) * stride..k);
+        let charges = CleanShape::mm(n, &speeds).checkpoint_charges(p, n, Some(stride), lost_steps);
+        assert_eq!(charges.lost_flops, lost, "stride {stride}, death {death_iter:?}: lost work");
+        assert_eq!(charges.ckpt_bytes, bytes, "stride {stride}, death {death_iter:?}: bytes");
+        (dist, lost, bytes, charges.inserts)
     }
 
     #[test]
@@ -370,9 +271,8 @@ mod tests {
         let cluster = het3();
         let n = 18;
         for (stride, death_iter) in SPLICE_CASES {
-            let (dist, lost, bytes) = splice_inputs(&cluster, n, stride, death_iter);
-            let inserts = mm_checkpoint_inserts(n, Some(stride), death_iter, &lost, &bytes);
-            let clean = record_spmd(&cluster, |t| mm_chunked_body(t, &dist, n));
+            let (dist, lost, bytes, inserts) = splice_inputs(&cluster, n, stride, death_iter);
+            let clean = record_spmd(&cluster, |t| mm_chunked_body(t, &dist, n, Segment::Whole));
             let explicit = record_spmd(&cluster, |t| {
                 mm_ckpt_body(t, &dist, n, stride, death_iter, &lost, &bytes)
             });
@@ -389,9 +289,8 @@ mod tests {
         let n = 18;
         let plan = FaultPlan::new(9).with_straggler(2, 0.5).with_link_drops(150);
         for (stride, death_iter) in SPLICE_CASES {
-            let (dist, lost, bytes) = splice_inputs(&cluster, n, stride, death_iter);
-            let inserts = mm_checkpoint_inserts(n, Some(stride), death_iter, &lost, &bytes);
-            let clean = record_spmd(&cluster, |t| mm_chunked_body(t, &dist, n));
+            let (dist, lost, bytes, inserts) = splice_inputs(&cluster, n, stride, death_iter);
+            let clean = record_spmd(&cluster, |t| mm_chunked_body(t, &dist, n, Segment::Whole));
             let body = |rank: &mut hetsim_mpi::Rank<'_>| {
                 mm_ckpt_body(rank, &dist, n, stride, death_iter, &lost, &bytes)
             };
@@ -418,7 +317,7 @@ mod tests {
     fn one_recording_prices_every_checkpoint_cell() {
         let cluster = het3();
         let n = 30;
-        let recording = CleanRecording::mm(&cluster, n);
+        let recording = crate::recover::CleanRecording::mm(&cluster, n);
         let est = crate::recover::estimated_run_secs(&cluster, mm_work(n));
         for seed in 0..6u64 {
             let plan = FaultPlan::new(seed).with_mtbf(3.0 * est);
@@ -461,6 +360,69 @@ mod tests {
         plan
     }
 
+    /// Shrink deaths at `n = 18` chunks: every rank dies at the first,
+    /// a middle, and the last chunk.
+    fn shrink_deaths() -> Vec<DeathEvent> {
+        let mut deaths = Vec::new();
+        for rank in 0..3 {
+            for iteration in [0, 9, 17] {
+                deaths.push(DeathEvent { rank, time: SimTime::from_secs(0.25), iteration });
+            }
+        }
+        deaths
+    }
+
+    /// The reference segment inputs of a shrink run after `ev`: the
+    /// survivor cluster, the full and survivor distributions, each
+    /// survivor's lost-work share and moved-in bytes, and the survivors'
+    /// original ranks.
+    #[allow(clippy::type_complexity)]
+    fn shrink_inputs(
+        cluster: &ClusterSpec,
+        plan: &FaultPlan,
+        n: usize,
+        ev: DeathEvent,
+    ) -> (ClusterSpec, BlockDistribution, BlockDistribution, Vec<f64>, Vec<u64>, Vec<usize>) {
+        let speeds = speeds_mflops(cluster);
+        let dist = BlockDistribution::proportional(n, &speeds);
+        let death_plan = plan.clone().with_death(ev.rank, ev.time);
+        let surv_cluster = death_plan.surviving_cluster(cluster).unwrap();
+        let repart = repartition_after_deaths(n, &speeds, &[ev.rank], row_bytes(n));
+        let surv_dist = BlockDistribution::proportional(n, &speeds_mflops(&surv_cluster));
+        let surv_speed_flops: Vec<f64> =
+            surv_cluster.nodes().iter().map(|nd| nd.marked_speed_flops()).collect();
+        let lost_total = ev.iteration as f64 * (mm_flops(&dist, ev.rank, n) / n as f64);
+        let lost_share = survivor_shares(lost_total, &surv_speed_flops);
+        let moved_in: Vec<u64> =
+            repart.moved_in_rows.iter().map(|&r| r as u64 * row_bytes(n)).collect();
+        (surv_cluster, dist, surv_dist, lost_share, moved_in, repart.survivors)
+    }
+
+    #[test]
+    fn shrink_segments_equal_the_hand_written_bodies() {
+        let cluster = het3();
+        let n = 18;
+        let plan = FaultPlan::new(42);
+        let shape = CleanShape::mm(n, &speeds_mflops(&cluster));
+        for ev in shrink_deaths() {
+            let shrink = Shrink::new(&cluster, &plan, &shape, n, ev);
+            let (surv_cluster, dist, surv_dist, lost_share, moved_in, survivors) =
+                shrink_inputs(&cluster, &plan, n, ev);
+            assert_eq!(shrink.survivors, survivors);
+            assert_eq!(shrink.lost_share, lost_share, "{ev:?}: lost-work shares");
+            assert_eq!(shrink.moved_in_bytes, moved_in, "{ev:?}: moved-in bytes");
+            let k = ev.iteration;
+            let prefix = record_spmd(&cluster, |t| shrink.prefix(t));
+            let reference = record_spmd(&cluster, |t| mm_prefix_body(t, &dist, n, k));
+            assert!(prefix.same_ops(&reference), "{ev:?}: prefix differs from the reference");
+            let resume = record_spmd(&shrink.surv_cluster, |t| shrink.resume(t));
+            let reference = record_spmd(&surv_cluster, |t| {
+                mm_resume_body(t, &surv_dist, n, k, &lost_share, &moved_in)
+            });
+            assert!(resume.same_ops(&reference), "{ev:?}: resume differs from the reference");
+        }
+    }
+
     #[test]
     fn no_death_and_no_checkpoints_match_the_baseline() {
         let cluster = het3();
@@ -488,8 +450,7 @@ mod tests {
         let policy = RecoveryPolicy::CheckpointRestart { interval_secs: interval };
         let fast = mm_parallel_timed_recoverable(&cluster, &net(), &plan, policy, n);
 
-        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-        let dist = BlockDistribution::proportional(n, &speeds);
+        let dist = BlockDistribution::proportional(n, &speeds_mflops(&cluster));
         let stride = checkpoint_stride(interval, &cluster, n, mm_work(n));
         let ev = death_iteration(&plan, &cluster, n, mm_work(n)).unwrap();
         let c = (ev.iteration / stride) * stride;
@@ -508,36 +469,34 @@ mod tests {
     fn fast_matches_threaded_on_shrink_segments() {
         let cluster = het3();
         let n = 18;
-        let plan = deadly_plan(&cluster, n, 42);
-        let fast = mm_parallel_timed_recoverable(
+        let shape = CleanShape::mm(n, &speeds_mflops(&cluster));
+        // The seeded death through the public entry point, then every
+        // rank dying at the first, a middle, and the last chunk.
+        let seeded_plan = deadly_plan(&cluster, n, 42);
+        let seeded = mm_parallel_timed_recoverable(
             &cluster,
             &net(),
-            &plan,
+            &seeded_plan,
             RecoveryPolicy::ShrinkRebalance,
             n,
         );
-        let ev = fast.death.unwrap();
+        let mut cases = vec![(seeded_plan, seeded.death.unwrap(), seeded.timing)];
+        let plan = FaultPlan::new(42);
+        for ev in shrink_deaths() {
+            let fast = Shrink::new(&cluster, &plan, &shape, n, ev).run(&net(), false).0;
+            cases.push((plan.clone(), ev, fast.timing));
+        }
 
-        let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-        let dist = BlockDistribution::proportional(n, &speeds);
-        let death_plan = plan.clone().with_death(ev.rank, ev.time);
-        let surv_cluster = death_plan.surviving_cluster(&cluster).unwrap();
-        let repart = repartition_after_deaths(n, &speeds, &[ev.rank], row_bytes(n));
-        let surv_speeds: Vec<f64> =
-            surv_cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-        let surv_speed_flops: Vec<f64> =
-            surv_cluster.nodes().iter().map(|nd| nd.marked_speed_flops()).collect();
-        let surv_dist = BlockDistribution::proportional(n, &surv_speeds);
-        let lost_total = ev.iteration as f64 * (mm_flops(&dist, ev.rank, n) / n as f64);
-        let lost_share = survivor_shares(lost_total, &surv_speed_flops);
-        let moved_in: Vec<u64> =
-            repart.moved_in_rows.iter().map(|&r| r as u64 * row_bytes(n)).collect();
-        let a = run_spmd(&cluster, &net(), |rank| mm_prefix_body(rank, &dist, n, ev.iteration));
-        let b = run_spmd(&surv_cluster, &net(), |rank| {
-            mm_resume_body(rank, &surv_dist, n, ev.iteration, &lost_share, &moved_in)
-        });
-        let threaded = compose_segments(&a, &b, &repart.survivors);
-        assert_eq!(fast.timing, threaded);
+        for (plan, ev, fast) in cases {
+            let (surv_cluster, dist, surv_dist, lost_share, moved_in, survivors) =
+                shrink_inputs(&cluster, &plan, n, ev);
+            let k = ev.iteration;
+            let a = run_spmd(&cluster, &net(), |rank| mm_prefix_body(rank, &dist, n, k));
+            let b = run_spmd(&surv_cluster, &net(), |rank| {
+                mm_resume_body(rank, &surv_dist, n, k, &lost_share, &moved_in)
+            });
+            assert_eq!(fast, compose_segments(&a, &b, &survivors), "{ev:?}");
+        }
     }
 
     #[test]

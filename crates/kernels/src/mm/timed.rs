@@ -9,9 +9,7 @@ use hetsim_cluster::cluster::ClusterSpec;
 use hetsim_cluster::faults::FaultPlan;
 use hetsim_cluster::network::NetworkModel;
 use hetsim_mpi::trace::RankTrace;
-use hetsim_mpi::{
-    run_spmd_fast, run_spmd_fast_faulted_traced, run_spmd_fast_traced, SpmdTimer, Tag,
-};
+use hetsim_mpi::{run_spmd_fast, SpmdTimer, Tag};
 
 /// Runs the MM communication/computation skeleton at problem size `n`
 /// with the standard speed-proportional block distribution.
@@ -54,11 +52,7 @@ pub fn mm_parallel_timed_traced<N: NetworkModel>(
     network: &N,
     n: usize,
 ) -> (TimingOutcome, Vec<RankTrace>) {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = BlockDistribution::proportional(n, &speeds);
-    let mut outcome = run_spmd_fast_traced(cluster, network, |t| mm_timed_body(t, &dist, n));
-    let traces = std::mem::take(&mut outcome.traces);
-    (TimingOutcome::from_spmd(outcome), traces)
+    CleanRecording::mm(cluster, n).traced(network, None)
 }
 
 /// [`mm_parallel_timed`] under a deterministic [`FaultPlan`] (see
@@ -80,12 +74,7 @@ pub fn mm_parallel_timed_faulted_traced<N: NetworkModel>(
     plan: &FaultPlan,
     n: usize,
 ) -> (TimingOutcome, Vec<RankTrace>) {
-    let speeds: Vec<f64> = cluster.nodes().iter().map(|nd| nd.marked_speed_mflops).collect();
-    let dist = BlockDistribution::proportional(n, &speeds);
-    let mut outcome =
-        run_spmd_fast_faulted_traced(cluster, network, plan, |t| mm_timed_body(t, &dist, n));
-    let traces = std::mem::take(&mut outcome.traces);
-    (TimingOutcome::from_spmd(outcome), traces)
+    CleanRecording::mm(cluster, n).traced(network, Some(plan))
 }
 
 /// The MM (HoHe) protocol skeleton as a generic [`SpmdTimer`] body —
