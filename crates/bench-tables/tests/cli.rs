@@ -385,12 +385,12 @@ fn usage_and_list_cover_recover_and_seed() {
 fn recover_stats_doc_prices_recovery_cells_analytically() {
     // The lockstep grammar absorbs the recovery ops into its local
     // runs, so every untraced recovery cell prices analytically: no
-    // `recovery-ops` fallback, full coverage — the gate ci.sh greps for.
+    // fallback of any reason, full coverage — the gates ci.sh greps for.
     let dir = temp_dir("recover");
     let doc = stats_doc(&dir, "recover.json", &["--quick", "recover"]);
     std::fs::remove_dir_all(&dir).ok();
     let text = String::from_utf8(doc).expect("utf-8 stats");
-    assert!(!text.contains("recovery-ops"), "recovery cells fell back: {text}");
+    assert!(text.contains("\"fallback_reasons\":{},"), "recovery cells fell back: {text}");
     assert!(text.contains("\"analytic_coverage_percent\":100,"), "coverage below 100%: {text}");
     let doc = hetsim_obs::Json::parse(&text).expect("stats parse");
     let paths = &doc.as_obj().expect("object")["engine"].as_obj().expect("engine")["paths"];

@@ -16,8 +16,8 @@
 //! frozen-noise ablation leans on — one shared elimination pass priced
 //! under 12 jittered networks at once, versus 12 standalone calls.
 //!
-//! Numbers from this bench (plus suite wall-clocks) are recorded in
-//! `BENCH_ANALYTIC.json` at the repo root.
+//! Suite wall-clocks and per-layer costs are measured by perfbench
+//! (`BENCHMARK.json`, `perfbench/README.md`), not recorded here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetpart::{BlockDistribution, CyclicDistribution};

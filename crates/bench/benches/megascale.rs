@@ -21,8 +21,9 @@
 //! The paths are bit-identical in output (`mega_matches_per_rank_*`
 //! in `kernels::mega`); this bench pins that the aggregated cost is
 //! flat in P for MM/power and Θ(N·classes) for GE while the per-rank
-//! cost grows with P. Numbers are recorded in `BENCH_MEGASCALE.json`
-//! at the repo root.
+//! cost grows with P. The end-to-end cost of the `mega` sweep is
+//! measured by perfbench's `mega` workload (`BENCHMARK.json`,
+//! `perfbench/README.md`), not recorded here.
 
 use bench_tables::params::{
     mega_ge_sizes, mega_mm_sizes, MEGA_BASE_MFLOPS, MEGA_MAX_CLASSES, MEGA_POWER_ITERS, MEGA_SPREAD,

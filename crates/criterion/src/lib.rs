@@ -9,8 +9,9 @@
 //! honoured tuning knob. Unlike the real crate there is no statistical
 //! machinery: each benchmark warms up briefly, times `sample_size`
 //! batches, and prints the median per-iteration time. Good enough to
-//! rank implementations and spot order-of-magnitude regressions, which
-//! is all the recorded BENCH_*.json numbers claim.
+//! rank implementations and spot order-of-magnitude regressions; the
+//! repo's recorded performance numbers come from perfbench
+//! (`BENCHMARK.json`), not from this shim.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -84,12 +84,12 @@ use std::collections::{HashMap, VecDeque};
 /// A recording's lockstep phase plan, produced by [`analyze`].
 #[derive(Debug)]
 pub(super) struct LockstepProgram {
-    pub(super) phases: Vec<Phase>,
+    phases: Vec<Phase>,
     /// Flat local-run arena: the [`Phase::Local`] at `at` owns
     /// `runs[at..at + classes]`, one `[start, end)` op-index range per
     /// class (ops stay per-op — fault windows and the engine both
     /// charge them individually).
-    pub(super) runs: Vec<(u32, u32)>,
+    runs: Vec<(u32, u32)>,
     /// Collective ops one evaluation covers (per participating rank) —
     /// the same count the scheduler would execute, kept for telemetry.
     pub(super) collective_ops: u64,
@@ -102,7 +102,7 @@ pub(super) struct LockstepProgram {
 /// the phase list once per pricing, several thousand phases per GE
 /// program.
 #[derive(Debug)]
-pub(super) enum Phase {
+enum Phase {
     /// Per-class maximal local runs at `runs[at..at + classes]`.
     Local { at: u32 },
     /// All ranks enter one barrier.
@@ -123,23 +123,23 @@ const _: () = assert!(std::mem::size_of::<Phase>() <= 16);
 /// Gather to rank `root`; `counts[r]` is rank `r`'s contribution,
 /// `sizes[r]` its wire bytes, `targets[r]` the leaf's p2p target.
 #[derive(Debug)]
-pub(super) struct GatherPhase {
-    pub(super) root: u32,
-    pub(super) counts: Vec<usize>,
-    pub(super) sizes: Vec<u64>,
-    pub(super) targets: Vec<u32>,
+struct GatherPhase {
+    root: u32,
+    counts: Vec<usize>,
+    sizes: Vec<u64>,
+    targets: Vec<u32>,
 }
 
 /// A closed batch of point-to-point messages in topological order.
 #[derive(Debug)]
-pub(super) struct P2pPhase {
-    pub(super) steps: Vec<P2pStep>,
+struct P2pPhase {
+    steps: Vec<P2pStep>,
 }
 
 /// One scheduled op of a P2P phase. `slot` indexes the phase's sends
 /// in emission order; analysis guarantees a receive's slot precedes it.
 #[derive(Debug)]
-pub(super) enum P2pStep {
+enum P2pStep {
     Send { rank: u32, dest: u32, count: usize },
     Recv { rank: u32, source: u32, count: usize, slot: u32 },
 }

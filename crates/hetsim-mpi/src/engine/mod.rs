@@ -52,10 +52,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-mod aggregate;
 mod analytic;
 
-pub use aggregate::{AggregateOutcome, AggregatePlan, AggregatePlanBuilder};
 use analytic::LockstepProgram;
 
 /// Process-wide switch for the lockstep analytic evaluator (default
@@ -2051,7 +2049,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_ops_are_lockstep_and_reject_only_the_aggregator() {
+    fn recovery_ops_are_lockstep_and_price_bit_equal() {
         let cluster = het3();
         let net = MpichEthernet::new(0.2e-3, 1e8);
         let program: SpmdProgram<()> = record_spmd(&cluster, recovery_body);
@@ -2062,8 +2060,6 @@ mod tests {
         assert_outcomes_match(&analytic, &event);
         let threaded = crate::runtime::run_spmd(&cluster, &net, |r| recovery_body(r));
         assert_outcomes_match(&analytic, &threaded);
-        // The class aggregator has no class form for recovery charges.
-        assert_eq!(program.aggregate_plan(&cluster).err(), Some(FallbackReason::RecoveryOps));
     }
 
     /// Rank 0 computes, sends to 1 and computes again; rank 1 receives;

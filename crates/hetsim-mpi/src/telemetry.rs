@@ -23,12 +23,15 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Why the lockstep analyzer refused a recording (DESIGN.md §10) and
-/// the simulation fell back to the event-driven ready-queue scheduler.
+/// Why a pricing tier refused a simulation.
 ///
-/// Every variant marks a shape the analyzer cannot *prove* lockstep;
-/// the scheduler then either prices it correctly or reports the
-/// protocol bug with its usual diagnostics.
+/// Every variant but the last marks a recording the lockstep analyzer
+/// (DESIGN.md §10) cannot *prove* lockstep; the simulation falls back
+/// to the event-driven ready-queue scheduler, which either prices it
+/// correctly or reports the protocol bug with its usual diagnostics.
+/// [`UnclassedNetwork`](Self::UnclassedNetwork) is the class-aggregated
+/// forms' one refusal (DESIGN.md §13): no replay follows it, and the
+/// caller receives the typed error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FallbackReason {
     /// Some rank class ran out of ops while others still expect a
@@ -57,30 +60,15 @@ pub enum FallbackReason {
     SendAcrossSync,
     /// A receive waits on a message no send in this phase produces.
     RecvBeforeSend,
-    /// The program charges failure-recovery ops (checkpoint, detector
-    /// timeout, recover). The lockstep grammar absorbs them into its
-    /// local runs, but the class aggregator (DESIGN.md §13) has no class
-    /// form for them.
-    RecoveryOps,
-    /// A point-to-point batch is not a single-hub scatter — the only
-    /// p2p shape the class aggregator (DESIGN.md §13) can fold.
-    AsymmetricP2p,
-    /// The network model prices endpoints individually (e.g. frozen
-    /// per-pair jitter), so per-class costs do not exist.
+    /// A class-aggregated form (`kernels::mega`, DESIGN.md §13) was
+    /// asked to price on a network that prices endpoints individually
+    /// (e.g. frozen per-pair jitter), so per-class costs do not exist.
     UnclassedNetwork,
-    /// Message delivery order within a rank class does not follow
-    /// member rank order, so tracking one representative clock per
-    /// class would lose the tail.
-    ClassOrderDiverged,
-    /// The data distribution is not run-length classable — its dealing
-    /// granularity breaks the per-class round-robin structure the
-    /// aggregated GE form (DESIGN.md §13) replays in O(classes).
-    UnclassedDistribution,
 }
 
 impl FallbackReason {
     /// Every variant, in stable report order.
-    pub const ALL: [FallbackReason; 15] = [
+    pub const ALL: [FallbackReason; 11] = [
         FallbackReason::ClassExhausted,
         FallbackReason::CollectiveIdMismatch,
         FallbackReason::MixedCollectiveKinds,
@@ -91,11 +79,7 @@ impl FallbackReason {
         FallbackReason::P2pSizeMismatch,
         FallbackReason::SendAcrossSync,
         FallbackReason::RecvBeforeSend,
-        FallbackReason::RecoveryOps,
-        FallbackReason::AsymmetricP2p,
         FallbackReason::UnclassedNetwork,
-        FallbackReason::ClassOrderDiverged,
-        FallbackReason::UnclassedDistribution,
     ];
 
     /// Stable kebab-case key used in the telemetry document.
@@ -111,11 +95,7 @@ impl FallbackReason {
             FallbackReason::P2pSizeMismatch => "p2p-size-mismatch",
             FallbackReason::SendAcrossSync => "send-across-sync",
             FallbackReason::RecvBeforeSend => "recv-before-send",
-            FallbackReason::RecoveryOps => "recovery-ops",
-            FallbackReason::AsymmetricP2p => "asymmetric-p2p",
             FallbackReason::UnclassedNetwork => "unclassed-network",
-            FallbackReason::ClassOrderDiverged => "class-order-diverged",
-            FallbackReason::UnclassedDistribution => "unclassed-distribution",
         }
     }
 
@@ -155,20 +135,8 @@ impl fmt::Display for FallbackReason {
             FallbackReason::RecvBeforeSend => {
                 "a receive waits on a message only sent in a later phase"
             }
-            FallbackReason::RecoveryOps => {
-                "the program charges failure-recovery ops the class aggregator cannot fold"
-            }
-            FallbackReason::AsymmetricP2p => {
-                "a point-to-point batch is not the single-hub scatter the aggregator folds"
-            }
             FallbackReason::UnclassedNetwork => {
                 "the network model prices endpoints individually, so class costs do not exist"
-            }
-            FallbackReason::ClassOrderDiverged => {
-                "message order within a rank class diverges from member rank order"
-            }
-            FallbackReason::UnclassedDistribution => {
-                "the data distribution's dealing granularity is not run-length classable"
             }
         };
         write!(f, "{what} ({})", self.name())
@@ -278,23 +246,8 @@ static CLASSES_SIMULATED: AtomicU64 = AtomicU64::new(0);
 static RETRY_EVENTS: AtomicU64 = AtomicU64::new(0);
 static RETRY_ATTEMPTS: AtomicU64 = AtomicU64::new(0);
 static RETRY_CHARGE_US: AtomicU64 = AtomicU64::new(0);
-static FALLBACKS: [AtomicU64; FallbackReason::ALL.len()] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static FALLBACKS: [AtomicU64; FallbackReason::ALL.len()] =
+    [const { AtomicU64::new(0) }; FallbackReason::ALL.len()];
 static CLOSED_FORM: Mutex<BTreeMap<&'static str, ClosedFormStats>> = Mutex::new(BTreeMap::new());
 // Wall-clock accumulators — profile export only, never in the
 // deterministic document.
@@ -380,7 +333,7 @@ pub struct EngineTelemetry {
     pub closed_form: BTreeMap<String, ClosedFormStats>,
     /// Simulations priced by the lockstep analytic evaluator.
     pub analytic_sims: u64,
-    /// Simulations priced by the class-aggregated evaluator.
+    /// Simulations priced by the class-aggregated forms (`kernels::mega`).
     pub aggregated_sims: u64,
     /// Ranks folded into class representatives by those simulations.
     pub aggregated_ranks: u64,
@@ -397,7 +350,7 @@ pub struct EngineTelemetry {
     pub event_driven_faulted: u64,
     /// Thread-per-rank oracle runs.
     pub threaded_sims: u64,
-    /// Analyzer rejections by [`FallbackReason::name`] (non-zero only).
+    /// Pricing refusals by [`FallbackReason::name`] (non-zero only).
     pub fallback_reasons: BTreeMap<String, u64>,
     /// Ready-queue parks across event-driven replays.
     pub parks: u64,
@@ -431,7 +384,7 @@ impl EngineTelemetry {
         self.closed_form_cells() + self.analytic_sims + self.aggregated_sims
     }
 
-    /// Share of simulated ranks the class aggregator folded into
+    /// Share of simulated ranks the class-aggregated forms folded into
     /// representatives, in percent (0 when nothing aggregated).
     pub fn aggregated_rank_percent(&self) -> f64 {
         if self.ranks_simulated == 0 {

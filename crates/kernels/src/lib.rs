@@ -70,7 +70,7 @@ pub use ge::{
     ge_parallel_timed_recoverable_traced, ge_sequential, GeOutcome, TimingOutcome,
 };
 pub use matrix::Matrix;
-pub use mega::{ge_mega, ge_mega_many, ge_mega_with, mm_mega, power_mega, MegaOutcome};
+pub use mega::{ge_mega, ge_mega_many, mm_mega, power_mega, MegaOutcome};
 pub use mm::{
     mm_parallel, mm_parallel_timed, mm_parallel_timed_recoverable,
     mm_parallel_timed_recoverable_traced, mm_sequential, MmOutcome,

@@ -17,11 +17,12 @@
 //!   singleton subclass — its clock diverges from its speed class at
 //!   the first scatter, exactly as its op stream diverges in a
 //!   recording.
-//! * The phase schedule is handed to
-//!   [`hetsim_mpi::AggregatePlanBuilder`], whose evaluation performs
-//!   the per-rank engines' float-op sequence restricted to class tails
-//!   (scatter chains batched through exact repeated addition, gather
-//!   serialization priced over run-length-encoded sizes).
+//! * The phase schedule is listed on a private `ClassPlan`, whose evaluation
+//!   performs the per-rank engines' float-op sequence restricted to
+//!   class tails (scatter chains batched through exact repeated
+//!   addition, gather serialization priced over run-length-encoded
+//!   sizes). Its doc comment states the class-monotonicity contract
+//!   that makes the tails exact.
 //!
 //! The `mega_matches_per_rank_*` tests pin both kernels against the
 //! per-rank closed forms — and transitively, via
@@ -37,7 +38,7 @@ use hetsim_cluster::network::NetworkModel;
 use hetsim_cluster::repeat_add;
 use hetsim_cluster::time::SimTime;
 use hetsim_mpi::telemetry::{self, EnginePath, EngineReport};
-use hetsim_mpi::{AggregatePlanBuilder, FallbackReason};
+use hetsim_mpi::FallbackReason;
 
 /// The compact result of one mega-scale evaluation: no per-rank
 /// vectors, by construction.
@@ -102,6 +103,223 @@ fn subclasses(cluster: &ClassedCluster, n: usize) -> Subclasses {
     Subclasses { members, speed_flops, rows, p: total }
 }
 
+/// A phase schedule over a [`Subclasses`] layout, evaluated in
+/// O(classes + phases) on one representative clock per subclass: its
+/// *tail*, the last member in rank order.
+///
+/// # Why the tail is enough, and exact
+///
+/// The contract is *class monotonicity*: within a subclass, member
+/// clocks are non-decreasing in rank order. It holds at launch (all
+/// zero) and every phase offered here preserves it:
+///
+/// - **Compute** adds the same `fl`-increments to every member (same
+///   flops, same speed); `fl(x + c)` is monotone in `x`.
+/// - **Broadcast** exits receivers at `max(clock, departure)` —
+///   monotone in `clock`.
+/// - **Gather** advances each leaf by one class-constant p2p cost and
+///   needs only the *maximum* deposit clock at the root.
+/// - **Scatter** sends from rank 0 in rank order, so arrivals are
+///   non-decreasing along every subclass and `max(clock, arrival)`
+///   stays monotone.
+///
+/// Rank 0 — root and hub of every collective — is subclass 0, a
+/// singleton (see [`subclasses`]). Under the contract `max` over a
+/// subclass equals its tail, so every rendezvous fold (`max` over all
+/// ranks, in rank order) equals the fold over tails: the same `f64`
+/// values, hence bit-equal to the per-rank engines. Costs are
+/// class-constant only when the network prices transfers by size
+/// alone; models that price endpoints individually make
+/// [`evaluate`](Self::evaluate) return
+/// [`FallbackReason::UnclassedNetwork`].
+///
+/// # Fan-out corrections
+///
+/// - The scatter's sender clock is a chain of `fl`-additions, one cost
+///   per destination; runs of equal-size sends collapse through
+///   [`repeat_add`] (exact batched IEEE-754 repeated addition), with
+///   the chain sampled at each tail's slot (splitting a `repeat_add`
+///   chain at any point composes exactly).
+/// - A gather's serialization cost comes from
+///   [`NetworkModel::gather_time_classed`] over the run-length-encoded
+///   contribution sizes — bit-identical to the per-rank `gather_time`.
+struct ClassPlan<'a> {
+    classes: &'a Subclasses,
+    phases: Vec<ClassPhase>,
+    /// Per-rank op counts one evaluation represents (telemetry).
+    collective_ops: u64,
+    p2p_ops: u64,
+}
+
+/// One phase: exit tails are a pure function of entry tails.
+enum ClassPhase {
+    /// One compute op of `flops[c]` floating-point operations per class.
+    Compute { flops: Vec<f64> },
+    /// A broadcast of `count` elements from rank 0.
+    Bcast { count: usize },
+    /// A gather to rank 0.
+    Gather {
+        /// `(bytes, count)` rank-order RLE of contribution sizes; rank
+        /// 0 opens the first run.
+        size_runs: Vec<(u64, u64)>,
+        /// Per class: own contribution wire bytes (rank 0's unused).
+        leaf_bytes: Vec<u64>,
+    },
+    /// A scatter from rank 0; arrivals are sampled at each receiving
+    /// subclass's tail.
+    Scatter {
+        /// `(bytes, count)` send-order RLE of rank 0's send sizes.
+        send_runs: Vec<(u64, u64)>,
+        /// `(slot, class)` tail sample points, ascending by slot: the
+        /// chain value after send `slot` is class `class`'s arrival.
+        samples: Vec<(u64, u32)>,
+    },
+}
+
+impl<'a> ClassPlan<'a> {
+    fn new(classes: &'a Subclasses) -> ClassPlan<'a> {
+        debug_assert_eq!(classes.members[0], 1, "rank 0 is a singleton subclass");
+        ClassPlan { classes, phases: Vec::new(), collective_ops: 0, p2p_ops: 0 }
+    }
+
+    fn compute(&mut self, flops: Vec<f64>) {
+        self.phases.push(ClassPhase::Compute { flops });
+    }
+
+    fn bcast(&mut self, count: usize) {
+        self.collective_ops += self.classes.p as u64;
+        self.phases.push(ClassPhase::Bcast { count });
+    }
+
+    /// A gather of `class_counts[c]` elements per member of class `c`.
+    fn gather(&mut self, class_counts: &[usize]) {
+        self.collective_ops += self.classes.p as u64;
+        let leaf_bytes: Vec<u64> = class_counts.iter().map(|&c| (c * 8) as u64).collect();
+        // Rank-order RLE of the per-rank size vector: classes are
+        // contiguous rank runs, so adjacent equal-byte classes merge.
+        let mut size_runs: Vec<(u64, u64)> = Vec::new();
+        for (&bytes, &m) in leaf_bytes.iter().zip(&self.classes.members) {
+            match size_runs.last_mut() {
+                Some((last, n)) if *last == bytes => *n += m,
+                _ => size_runs.push((bytes, m)),
+            }
+        }
+        self.phases.push(ClassPhase::Gather { size_runs, leaf_bytes });
+    }
+
+    /// A root-serialized scatter: rank 0 sends `class_counts[c]`
+    /// elements to every member of every other class, in rank order,
+    /// back to back on its own clock.
+    fn scatter(&mut self, class_counts: &[usize]) {
+        self.p2p_ops += 2 * (self.classes.p as u64 - 1);
+        let mut send_runs: Vec<(u64, u64)> = Vec::new();
+        let mut samples: Vec<(u64, u32)> = Vec::new();
+        let mut slot = 0u64;
+        for (c, (&count, &m)) in class_counts.iter().zip(&self.classes.members).enumerate().skip(1)
+        {
+            let bytes = (count * 8) as u64;
+            match send_runs.last_mut() {
+                Some((last, n)) if *last == bytes => *n += m,
+                _ => send_runs.push((bytes, m)),
+            }
+            slot += m;
+            samples.push((slot - 1, c as u32));
+        }
+        self.phases.push(ClassPhase::Scatter { send_runs, samples });
+    }
+
+    /// Prices the plan against `network`, recording an
+    /// [`EnginePath::Aggregated`] simulation on success and the typed
+    /// fallback on rejection.
+    fn evaluate<N: NetworkModel>(&self, network: &N) -> Result<MegaOutcome, FallbackReason> {
+        let simulate_started = std::time::Instant::now();
+        let makespan = self.makespan(network);
+        telemetry::add_simulate_wall_ns(simulate_started.elapsed().as_nanos() as u64);
+        let (p, classes) = (self.classes.p, self.classes.members.len());
+        match makespan {
+            Ok(makespan) => {
+                let mut report =
+                    EngineReport::new(EnginePath::Aggregated, p as u64, classes as u64);
+                report.collective_events = self.collective_ops;
+                report.p2p_events = self.p2p_ops;
+                telemetry::record_simulation(&report);
+                Ok(MegaOutcome { makespan, classes, ranks: p as u64 })
+            }
+            Err(reason) => {
+                telemetry::record_fallback(reason);
+                Err(reason)
+            }
+        }
+    }
+
+    /// The fold behind [`evaluate`](Self::evaluate): `max` over every
+    /// rank's final clock.
+    fn makespan<N: NetworkModel>(&self, network: &N) -> Result<SimTime, FallbackReason> {
+        let Subclasses { members, speed_flops, p, .. } = self.classes;
+        let mut last = vec![SimTime::ZERO; members.len()];
+        for phase in &self.phases {
+            match phase {
+                ClassPhase::Compute { flops } => {
+                    for (c, &f) in flops.iter().enumerate() {
+                        last[c] += SimTime::from_secs(f / speed_flops[c]);
+                    }
+                }
+                ClassPhase::Bcast { count } => {
+                    let bytes = (count * 8) as u64;
+                    let departure = last[0] + SimTime::from_secs(network.bcast_time(*p, bytes));
+                    last[0] = departure;
+                    for l in &mut last[1..] {
+                        *l = (*l).max(departure);
+                    }
+                }
+                ClassPhase::Gather { size_runs, leaf_bytes } => {
+                    // Deposit clocks fold to the class tails (rank 0's
+                    // included — its class is singleton).
+                    let max_entry = *last.iter().max().expect("classes >= 1");
+                    let cost = network
+                        .gather_time_classed(size_runs, 0)
+                        .ok_or(FallbackReason::UnclassedNetwork)?;
+                    let root_exit = last[0].max(max_entry) + SimTime::from_secs(cost);
+                    for (l, &bytes) in last.iter_mut().zip(leaf_bytes).skip(1) {
+                        let leg = network
+                            .p2p_time_class(bytes)
+                            .ok_or(FallbackReason::UnclassedNetwork)?;
+                        *l += SimTime::from_secs(leg);
+                    }
+                    last[0] = root_exit;
+                }
+                ClassPhase::Scatter { send_runs, samples } => {
+                    // Rank 0's clock chains one fl-addition per send;
+                    // equal-size runs batch through repeat_add, and
+                    // each tail's arrival is the chain sampled at its
+                    // slot (chain splits compose exactly).
+                    let mut chain = last[0].as_secs();
+                    let mut slot_base = 0u64;
+                    let mut next_sample = samples.iter().peekable();
+                    for &(bytes, count) in send_runs {
+                        let cost = network
+                            .p2p_time_class(bytes)
+                            .ok_or(FallbackReason::UnclassedNetwork)?;
+                        while let Some(&&(slot, c)) = next_sample.peek() {
+                            if slot >= slot_base + count {
+                                break;
+                            }
+                            let arrival = repeat_add(chain, cost, slot - slot_base + 1);
+                            let c = c as usize;
+                            last[c] = last[c].max(SimTime::from_secs(arrival));
+                            next_sample.next();
+                        }
+                        chain = repeat_add(chain, cost, count);
+                        slot_base += count;
+                    }
+                    last[0] = SimTime::from_secs(chain);
+                }
+            }
+        }
+        Ok(*last.iter().max().expect("classes >= 1"))
+    }
+}
+
 /// Classed-cluster MM (HoHe) timing: A-block scatter, B broadcast,
 /// local multiply, C gather — the same protocol
 /// [`crate::mm_closed_form`] prices per rank, evaluated in O(classes).
@@ -115,14 +333,12 @@ pub fn mm_mega<N: NetworkModel>(
     let flops: Vec<f64> =
         sc.rows.iter().map(|&r| (2 * r * n * n).saturating_sub(r * n) as f64).collect();
 
-    let mut plan = AggregatePlanBuilder::new(&sc.members, &sc.speed_flops);
-    plan.scatter(0, &block_counts);
-    plan.bcast(0, n * n);
+    let mut plan = ClassPlan::new(&sc);
+    plan.scatter(&block_counts);
+    plan.bcast(n * n);
     plan.compute(flops);
-    plan.gather(0, &block_counts);
-
-    let outcome = plan.build().evaluate_recorded(network)?;
-    Ok(MegaOutcome { makespan: outcome.makespan, classes: sc.members.len(), ranks: sc.p as u64 })
+    plan.gather(&block_counts);
+    plan.evaluate(network)
 }
 
 /// Classed-cluster power-iteration timing: scatter, then `iters` sweeps
@@ -144,17 +360,15 @@ pub fn power_mega<N: NetworkModel>(
     let packed =
         sc.p + sc.rows.iter().zip(sc.members.iter()).map(|(&r, &m)| r * m as usize).sum::<usize>();
 
-    let mut plan = AggregatePlanBuilder::new(&sc.members, &sc.speed_flops);
-    plan.scatter(0, &block_counts);
+    let mut plan = ClassPlan::new(&sc);
+    plan.scatter(&block_counts);
     for _sweep in 0..iters {
         plan.compute(matvec.clone());
-        plan.gather(0, &sc.rows);
-        plan.bcast(0, packed);
+        plan.gather(&sc.rows);
+        plan.bcast(packed);
         plan.compute(normalize.clone());
     }
-
-    let outcome = plan.build().evaluate_recorded(network)?;
-    Ok(MegaOutcome { makespan: outcome.makespan, classes: sc.members.len(), ranks: sc.p as u64 })
+    plan.evaluate(network)
 }
 
 /// One run of consecutive *peer* ranks (rank 0 excluded) sharing a
@@ -245,23 +459,6 @@ pub fn ge_mega<N: NetworkModel>(
     network: &N,
     n: usize,
 ) -> Result<MegaOutcome, FallbackReason> {
-    ge_mega_with(cluster, network, n, 1)
-}
-
-/// [`ge_mega`] with an explicit dealing block size. Only `block = 1`
-/// (the fine interleave the GE kernel uses) keeps each class's rows in
-/// the round-robin runs the aggregation replays; any coarser
-/// granularity returns [`FallbackReason::UnclassedDistribution`].
-pub fn ge_mega_with<N: NetworkModel>(
-    cluster: &ClassedCluster,
-    network: &N,
-    n: usize,
-    block: usize,
-) -> Result<MegaOutcome, FallbackReason> {
-    if block != 1 {
-        telemetry::record_fallback(FallbackReason::UnclassedDistribution);
-        return Err(FallbackReason::UnclassedDistribution);
-    }
     ge_mega_many(cluster, network, &[n]).pop().expect("one outcome per size")
 }
 
@@ -561,14 +758,22 @@ mod tests {
     };
 
     /// Class-structure extremes, all materializable: single rank,
-    /// homogeneous, two tiers, many tiers at the 85-node scale.
+    /// homogeneous, two tiers, many tiers at the 85-node scale, and a
+    /// root lighter than a slow tier (largest-remainder rows land on
+    /// 10 Mflop/s ranks, so a scatter arrival, not rank 0's chain end,
+    /// sets power iteration's first gather rendezvous).
     fn clusters() -> Vec<ClassedCluster> {
+        let root_light = vec![
+            SpeedClass { speed_mflops: 100.0, count: 1 },
+            SpeedClass { speed_mflops: 10.0, count: 3 },
+        ];
         vec![
             ClassedCluster::heet(1, 1, 50.0, 1.0),
             ClassedCluster::heet(8, 1, 70.0, 1.0),
             ClassedCluster::heet(7, 2, 50.0, 3.0),
             ClassedCluster::heet(40, 5, 50.0, 2.2),
             ClassedCluster::heet(85, 8, 45.0, 2.4),
+            ClassedCluster::new("root-light", root_light).expect("valid classes"),
         ]
     }
 
@@ -758,16 +963,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn coarse_deals_report_the_unclassed_distribution_fallback() {
-        // Block-2 dealing breaks the member-0 round-robin structure the
-        // aggregation replays; the typed fallback says so.
-        let cluster = ClassedCluster::heet(40, 5, 50.0, 2.2);
-        let net = MpichEthernet::new(0.3e-3, 1e8);
-        assert_eq!(ge_mega_with(&cluster, &net, 16, 2), Err(FallbackReason::UnclassedDistribution));
-        assert_eq!(ge_mega_with(&cluster, &net, 16, 1), ge_mega(&cluster, &net, 16));
     }
 
     #[test]
